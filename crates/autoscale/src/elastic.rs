@@ -32,13 +32,14 @@
 //! serve; provisioning instances bill but do not serve — exactly the
 //! 10-minute tax the paper's Table 1 measures.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use azstore::{AdmissionConfig, CapacityScale, StampConfig, StorageAccountClient, StorageStamp};
 use fabric::{DeploymentSpec, FabricConfig, FabricController, HostPoolConfig, RoleType, VmSize};
 use simcore::prelude::*;
-use simload::{seed_workload, spawn_arrivals, ArrivalProcess, LoadObserver, SloTracker, Workload};
+use simfault::GiveUp;
+use simload::{fire, latency_since, seed_workload, ArrivalProcess, SloTracker, Window, Workload};
+use simtrace::Layer;
 
 use crate::actuator::Actuator;
 use crate::harness::{Decision, Harness};
@@ -363,18 +364,37 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
     let windows =
         simload::WindowedArrivals::new(&instants, cfg.setup_s, cfg.obs_window_s, cfg.horizon_s);
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(deadline_s)));
-    let observer = Rc::new(LoadObserver::default());
-    spawn_arrivals(
-        sim,
-        &clients,
-        workload,
-        &instants,
-        cfg.setup_s,
+    // Every arrival is recorded (no warmup) and a shed fails the op
+    // outright: an elastic controller is expected to buy capacity, not
+    // paper over the shortfall with retry storms.
+    let window = Window {
+        offset_s: cfg.setup_s,
+        warmup_s: 0.0,
+        window_s: cfg.horizon_s,
         deadline_s,
-        &tracker,
-        &observer,
-    );
+    };
+    let s = sim.clone();
+    let run = simload::drive(sim, &instants, window, move |i, t| {
+        let s = s.clone();
+        let client = Rc::clone(&clients[i % clients.len()]);
+        async move {
+            let sp = simtrace::span(Layer::Load, "load.op", || {
+                format!("load:{}", workload.name())
+            });
+            sp.attr("sched_s", format_args!("{t:.6}"));
+            azstore::admit::stash_deadline(t + deadline_s);
+            let res = fire(client, workload, i).await;
+            let ok = res.is_ok();
+            sp.attr(
+                "latency_ms",
+                format_args!("{:.3}", latency_since(&s, t) * 1e3),
+            );
+            sp.attr("deadline", if ok { "met" } else { "failed" });
+            sp.end();
+            res.map(|()| None).map_err(|e| (e, GiveUp::NotRetryable))
+        }
+    });
+    let observer = run.observer();
 
     let fc = FabricController::new(
         sim,
@@ -397,7 +417,6 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
     );
 
     let s = sim.clone();
-    let observer_sup = Rc::clone(&observer);
     let cfg_sup = cfg.clone();
     let sup = sim.spawn(async move {
         let cfg = cfg_sup;
@@ -455,7 +474,7 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
             let done = windows.completed_windows(now);
             let new_rates: Vec<f64> = (consumed..done).map(|k| windows.rate(k)).collect();
             consumed = done;
-            let shed_total = observer_sup.shed.get();
+            let shed_total = observer.shed.get();
             let shed_delta = shed_total - last_shed;
             last_shed = shed_total;
 
@@ -464,7 +483,7 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
                     now_s: now,
                     rate_ops_s: windows.rate(done - 1),
                     new_rates,
-                    in_flight: observer_sup.in_flight(),
+                    in_flight: observer.in_flight(),
                     shed_delta,
                     ready,
                     committed,
@@ -489,12 +508,8 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
         }
     });
 
-    sim.run();
-
+    let slo = run.run().slo;
     let out = sup.try_take().expect("supervisor ran to completion");
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
     let (_, admit_shed) = stamp.admission_stats();
     ElasticResult {
         policy: cfg.policy.name(),

@@ -1,13 +1,13 @@
 //! One geo measurement cell: an open-loop fleet against a whole geo
 //! set.
 //!
-//! The shape mirrors `simload::run_open_loop` — a whole arrival
-//! schedule drawn up front from the dedicated `"geo.arrivals"` stream,
-//! one spawned task per arrival, coordinated-omission-free latency
-//! charged from the scheduled instant — but every op goes through the
-//! [`GeoClient`](crate::set::GeoClient) front door, and the cell also
-//! runs the geo control plane: the replication shipper, the health
-//! monitor, and (optionally) the cross-stamp rebalancer.
+//! The whole arrival schedule is drawn up front from the dedicated
+//! `"geo.arrivals"` stream and run through `simload::drive` — one task
+//! per arrival, coordinated-omission-free latency charged from the
+//! scheduled instant, window throughput and SLO accounting — with every
+//! op going through the [`GeoClient`](crate::set::GeoClient) front
+//! door. The cell adds the geo control plane: the replication shipper,
+//! the health monitor, and (optionally) the cross-stamp rebalancer.
 //!
 //! Clean cells keep *home-stamp affinity*: arrival `i` lands on VM
 //! `i % fleet`, and each VM issues ops for its own account, whose
@@ -18,12 +18,12 @@
 //! hottest), which concentrates load on one stamp and exercises the
 //! rebalancer.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use azstore::{StampConfig, StorageError};
+use azstore::StampConfig;
 use simcore::prelude::*;
-use simload::{ArrivalProcess, FailClass, SloTracker, Workload};
+use simfault::GiveUp;
+use simload::{latency_since, ArrivalProcess, SloTracker, Window, Workload};
 use simtrace::Layer;
 
 use crate::balance::spawn_rebalancer;
@@ -149,61 +149,40 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
         }
     };
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
+    let window = Window {
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+    };
+    let (workload, deadline_s) = (cfg.workload, cfg.deadline_s);
+    let s = sim.clone();
+    let run = simload::drive(sim, &instants, window, move |i, t| {
+        let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
         let account = accounts_of[i];
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let workload = cfg.workload;
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        async move {
             let sp = simtrace::span(Layer::Geo, "geo.op", || {
                 format!("geo:{}:a{account:04}", workload.name())
             });
             let res = client.op(account, workload, i, Some(t + deadline_s)).await;
             let ok = res.is_ok();
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
+            sp.attr(
+                "latency_ms",
+                format_args!("{:.3}", latency_since(&s, t) * 1e3),
+            );
             sp.attr("deadline", if ok { "met" } else { "failed" });
             sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
-            }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(()) => tr.record_ok(latency_s, done_s),
-                    Err(e) => tr.record_fail(classify(&e)),
-                }
-            }
-        });
-    }
+            res.map(|()| None).map_err(|e| (e, GiveUp::NotRetryable))
+        }
+    });
 
     spawn_shipper(&set, horizon);
     spawn_monitor(&set, horizon);
     if cfg.rebalance {
         spawn_rebalancer(&set, horizon);
     }
-    sim.run();
-
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
+    let m = run.run();
     let (mut admit_shed, mut latch_shed) = (0u64, 0u64);
     for stamp in set.stamps() {
         admit_shed += stamp.admission_stats().1;
@@ -212,10 +191,10 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     let decisions = set.decisions();
     GeoResult {
         offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         stamp_ops: set.stamp_ops(),
         admit_shed,
         latch_shed,
@@ -233,16 +212,6 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
         moves: decisions.iter().filter(|d| d.contains(" move ")).count() as u64,
         decisions,
         placement_fingerprint: set.location().fingerprint(),
-    }
-}
-
-/// Map a geo-op error to its SLO failure class (no client retries in
-/// geo cells, so budget exhaustion cannot occur).
-fn classify(e: &StorageError) -> FailClass {
-    match e {
-        StorageError::ServerBusy => FailClass::Shed,
-        StorageError::Timeout => FailClass::Timeout,
-        _ => FailClass::Other,
     }
 }
 

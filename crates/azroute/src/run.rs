@@ -1,14 +1,15 @@
 //! One consistency measurement cell: a region-pinned open-loop reader
 //! fleet plus a background writer stream against a whole geo set.
 //!
-//! The shape mirrors `azgeo::run::run_geo` — arrival schedules drawn up
-//! front from dedicated RNG streams (`"route.arrivals"` for reads,
-//! `"route.writes"` for the mutation stream that feeds the replication
-//! logs), one spawned task per arrival, coordinated-omission-free
-//! latency charged from the scheduled instant — but every read goes
-//! through the [`RouteClient`](crate::route::RouteClient) consistency
-//! router, and every successful read's *observed staleness* lands in
-//! the SLO tracker's staleness stream.
+//! Arrival schedules are drawn up front from dedicated RNG streams
+//! (`"route.arrivals"` for reads, `"route.writes"` for the mutation
+//! stream that feeds the replication logs). The reads run through
+//! `simload::drive` — one task per arrival, coordinated-omission-free
+//! latency charged from the scheduled instant, window throughput and SLO
+//! accounting — with every read going through the
+//! [`RouteClient`](crate::route::RouteClient) consistency router, and
+//! every successful read's *observed staleness* landing in the SLO
+//! tracker's staleness stream.
 //!
 //! Reader placement is the swept variable: `Home` pins each client to
 //! its account's primary region (the azgeo baseline), `Secondary` to
@@ -19,19 +20,20 @@
 //! availability split between modes is not diluted by accounts the
 //! fault never touches.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use azgeo::calib;
 use azgeo::failover::spawn_monitor;
 use azgeo::set::{spawn_shipper, GeoSet};
-use azstore::{StampConfig, StorageError};
+use azstore::StampConfig;
 use dcnet::RegionRtt;
 use simcore::prelude::*;
-use simload::{ArrivalProcess, FailClass, SloTracker, Workload};
+use simfault::GiveUp;
+use simload::{latency_since, ArrivalProcess, SloTracker, Window, Workload};
 use simtrace::Layer;
 
-use crate::consistency::Consistency;
+use crate::consistency::{Consistency, ReadPolicy};
 use crate::route::{RouteClient, RouteStats};
 
 /// Where the reader fleet sits relative to its accounts' replicas.
@@ -237,69 +239,48 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
         (first_missed, first_missed + calib::EXPECTED_RTO_S)
     });
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
-    let rto_good = Rc::new(std::cell::Cell::new(0u64));
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
-        let client = Rc::clone(&clients[i % clients.len()]);
-        let account = accounts_of_vm[i % clients.len()];
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let rto_good = Rc::clone(&rto_good);
-        let workload = cfg.workload;
-        let mode_name = {
-            use crate::consistency::ReadPolicy;
-            cfg.mode.name()
-        };
+    let window = Window {
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+    };
+    let rto_good = Rc::new(Cell::new(0u64));
+    let (workload, mode_name) = (cfg.workload, cfg.mode.name());
+    let (s, rto_good_op) = (sim.clone(), Rc::clone(&rto_good));
+    let reader_clients = clients.clone();
+    let reader_accounts = accounts_of_vm.clone();
+    let run = simload::drive(sim, &instants, window, move |i, t| {
+        let s = s.clone();
+        let client = Rc::clone(&reader_clients[i % reader_clients.len()]);
+        let account = reader_accounts[i % reader_clients.len()];
+        let rto_good = Rc::clone(&rto_good_op);
         // Availability is judged by *scheduled* instant: a read that
         // arrives inside the RTO window and succeeds counts, however
         // long it takes — a strong read arriving there hits the down
         // check immediately and can never count.
         let in_rto_window = rto_window.is_some_and(|(w0, w1)| (w0..w1).contains(&t));
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        async move {
             let sp = simtrace::span(Layer::Route, "route.read", || {
                 format!("route:{mode_name}:a{account:04}")
             });
             let res = client.read(account, workload, i).await;
-            let ok = res.is_ok();
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
+            sp.attr(
+                "latency_ms",
+                format_args!("{:.3}", latency_since(&s, t) * 1e3),
+            );
             if let Ok(out) = &res {
-                sp.attr("staleness_ms", format!("{:.3}", out.staleness_s * 1e3));
-                sp.attr("served_by", format!("s{}", out.served_by));
+                sp.attr("staleness_ms", format_args!("{:.3}", out.staleness_s * 1e3));
+                sp.attr("served_by", format_args!("s{}", out.served_by));
             }
             sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
-            }
-            if ok && in_rto_window {
+            if res.is_ok() && in_rto_window {
                 rto_good.set(rto_good.get() + 1);
             }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(out) => {
-                        tr.record_ok(latency_s, done_s);
-                        tr.record_staleness(out.staleness_s);
-                    }
-                    Err(e) => tr.record_fail(classify(&e)),
-                }
-            }
-        });
-    }
+            res.map(|out| Some(out.staleness_s))
+                .map_err(|e| (e, GiveUp::NotRetryable))
+        }
+    });
 
     // Background writers: Poisson mutations round-robin over the same
     // clients (each writes its own account), feeding the replication
@@ -321,18 +302,13 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
 
     spawn_shipper(&set, horizon);
     spawn_monitor(&set, horizon);
-    sim.run();
-
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
+    let m = run.run();
     RouteResult {
         offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         reads_primary: stats.reads_primary.get(),
         reads_secondary: stats.reads_secondary.get(),
         escalations: stats.escalations.get(),
@@ -347,15 +323,6 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
         rto_s: set.stats.rto_s.get(),
         route_fingerprint: stats.fingerprint.get(),
         rtt_fingerprint: rtt.fingerprint(),
-    }
-}
-
-/// Map a routed-read error to its SLO failure class.
-fn classify(e: &StorageError) -> FailClass {
-    match e {
-        StorageError::ServerBusy => FailClass::Shed,
-        StorageError::Timeout => FailClass::Timeout,
-        _ => FailClass::Other,
     }
 }
 

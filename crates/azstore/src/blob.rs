@@ -710,8 +710,10 @@ mod tests {
     #[test]
     fn fault_injection_produces_failures_at_scale() {
         let sim = Sim::new(9);
-        let mut cfg = StampConfig::default();
-        cfg.faults = crate::stamp::FaultProfile::production();
+        let mut cfg = StampConfig {
+            faults: crate::stamp::FaultProfile::production(),
+            ..StampConfig::default()
+        };
         // Crank rates so a small run must observe failures.
         cfg.faults.corrupt_read_p = 0.2;
         cfg.faults.connection_fail_p = 0.1;

@@ -1,5 +1,5 @@
-//! `azlab` — the campaign driver. One binary supersedes the per-figure
-//! regeneration mains:
+//! `azlab` — the campaign driver, the one entry point for every
+//! regeneration target:
 //!
 //! ```text
 //! azlab run all [--quick] [--shards N] [--faults <preset>]
@@ -29,7 +29,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bench::campaigns;
+use bench::campaigns::{self, Campaign, CAMPAIGNS};
 use simlab::{CampaignEntry, Manifest, RunOpts, TraceSpec};
 
 const USAGE: &str = "azlab <run|bench> [target] [--quick] [--shards N] [--faults <preset>] [--trace <path>] [--tau SECONDS] [--out <path>] [--list]\n  targets: all fig1 fig2 fig3 fig4 fig5 table1 table2 fig7 modis frontier geo shedding elastic faas consistency ablations  (azlab run --list enumerates them)";
@@ -53,8 +53,8 @@ fn main() {
 fn cmd_run(flags: simlab::Flags) {
     if flags.list {
         println!("all");
-        for name in campaigns::ALL {
-            println!("{name}");
+        for c in CAMPAIGNS {
+            println!("{}", c.name);
         }
         println!("table2 (alias of modis)");
         println!("fig7 (alias of modis)");
@@ -64,18 +64,22 @@ fn cmd_run(flags: simlab::Flags) {
         usage_exit(&format!("unexpected argument {:?}", flags.words[2]));
     }
     let target = flags.words.get(1).map(String::as_str).unwrap_or("all");
-    let names: Vec<&'static str> = if target == "all" {
-        campaigns::ALL.to_vec()
+    let selected: &[Campaign] = if target == "all" {
+        CAMPAIGNS
     } else {
         match campaigns::canonical(target) {
-            Some(name) => vec![name],
+            Some(c) => std::slice::from_ref(c),
             None => usage_exit(&format!(
                 "unknown target {target:?} (known: all {} table2 fig7)",
-                campaigns::ALL.join(" ")
+                CAMPAIGNS
+                    .iter()
+                    .map(|c| c.name)
+                    .collect::<Vec<_>>()
+                    .join(" ")
             )),
         }
     };
-    if flags.trace.is_some() && names.len() > 1 {
+    if flags.trace.is_some() && selected.len() > 1 {
         usage_exit(
             "--trace needs a single target (it captures one campaign's representative cell)",
         );
@@ -93,7 +97,7 @@ fn cmd_run(flags: simlab::Flags) {
             .unwrap_or_else(|| "none".to_string()),
         campaigns: Vec::new(),
     };
-    for name in names {
+    for c in selected {
         let opts = RunOpts {
             shards,
             faults: flags.faults.clone(),
@@ -101,7 +105,7 @@ fn cmd_run(flags: simlab::Flags) {
             tau: flags.tau,
         };
         let t0 = Instant::now();
-        let out = campaigns::run(name, flags.quick, &opts).expect("names are canonical");
+        let out = (c.run)(flags.quick, &opts);
         let wall_us = t0.elapsed().as_micros() as u64;
         campaigns::emit(&out, &dir);
         manifest.campaigns.push(CampaignEntry {
@@ -123,7 +127,7 @@ fn cmd_bench(flags: simlab::Flags) {
         usage_exit(&format!("unexpected argument {:?}", flags.words[1]));
     }
     let shards = flags.shards.unwrap_or(4);
-    let time = |name: &str, shards: usize| -> (usize, u64) {
+    let time = |c: &Campaign, shards: usize| -> (usize, u64) {
         let opts = RunOpts {
             shards,
             faults: None,
@@ -131,24 +135,25 @@ fn cmd_bench(flags: simlab::Flags) {
             tau: None,
         };
         let t0 = Instant::now();
-        let out = campaigns::run(name, true, &opts).expect("canonical name");
+        let out = (c.run)(true, &opts);
         (out.cells, t0.elapsed().as_micros() as u64)
     };
 
     // The acceptance measurement: the day-segmented ModisAzure campaign
     // (the old serial table2) at 1 shard vs 4.
     eprintln!("azlab bench: modis --quick serial vs 4 shards ...");
-    let (_, modis_serial_us) = time("modis", 1);
-    let (_, modis_shards4_us) = time("modis", 4);
+    let modis = campaigns::canonical("modis").expect("modis is a campaign");
+    let (_, modis_serial_us) = time(modis, 1);
+    let (_, modis_shards4_us) = time(modis, 4);
     let speedup = modis_serial_us as f64 / modis_shards4_us.max(1) as f64;
 
     eprintln!("azlab bench: full quick campaign set at {shards} shards ...");
     let mut rows = Vec::new();
     let mut total_us = 0u64;
-    for name in campaigns::ALL {
-        let (cells, us) = time(name, shards);
+    for c in CAMPAIGNS {
+        let (cells, us) = time(c, shards);
         total_us += us;
-        rows.push((name, cells, us));
+        rows.push((c, cells, us));
     }
 
     let mut json = String::from("{\n");
@@ -165,8 +170,8 @@ fn cmd_bench(flags: simlab::Flags) {
     ));
     json.push_str(&format!("  \"modis_speedup_4shards\": {speedup:.2},\n"));
     json.push_str("  \"campaigns\": [\n");
-    for (i, (name, cells, us)) in rows.iter().enumerate() {
-        let cells_full = campaigns::cell_count(name, false).expect("canonical name");
+    for (i, (c, cells, us)) in rows.iter().enumerate() {
+        let (name, cells_full) = (c.name, (c.cell_count)(false));
         json.push_str(&format!(
             "    {{\"name\": \"{name}\", \"cells_quick\": {cells}, \"cells_full\": {cells_full}, \"wall_us\": {us}}}{}\n",
             if i + 1 < rows.len() { "," } else { "" }

@@ -6,9 +6,8 @@
 //! through [`simlab::run_cells`] (so `--shards`, `--faults` and
 //! `--trace` all apply uniformly), and returns everything the campaign
 //! produces — rendered stdout, result files, anchor verdicts — without
-//! touching the filesystem. The `azlab` driver (and the thin per-figure
-//! wrapper binaries via [`standalone_main`]) handle printing, saving
-//! and the manifest.
+//! touching the filesystem. [`CAMPAIGNS`] lists them; the `azlab`
+//! driver handles printing, saving and the manifest.
 //!
 //! Table 2 and Fig 7 come from the same ModisAzure campaign, so they
 //! share one entry ([`modis`]) that emits both artifacts; `azlab run
@@ -53,75 +52,100 @@ pub struct CampaignOutput {
     pub trace_summary: Option<String>,
 }
 
-/// Canonical campaign names, in `azlab run all` execution order.
-pub const ALL: [&str; 14] = [
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "modis",
-    "frontier",
-    "geo",
-    "shedding",
-    "elastic",
-    "faas",
-    "consistency",
-    "ablations",
+/// One campaign: its canonical name and entry points.
+#[derive(Debug)]
+pub struct Campaign {
+    /// Canonical name (`azlab run <name>`).
+    pub name: &'static str,
+    /// Run the campaign (`quick`, runner options).
+    pub run: fn(bool, &RunOpts) -> CampaignOutput,
+    /// Planned cell count in one mode, without running it (the `azlab
+    /// bench` report records quick and full counts side by side).
+    pub cell_count: fn(bool) -> usize,
+}
+
+/// Every campaign, in `azlab run all` execution order.
+pub const CAMPAIGNS: &[Campaign] = &[
+    Campaign {
+        name: "fig1",
+        run: fig1::run,
+        cell_count: fig1::cell_count,
+    },
+    Campaign {
+        name: "fig2",
+        run: fig2::run,
+        cell_count: fig2::cell_count,
+    },
+    Campaign {
+        name: "fig3",
+        run: fig3::run,
+        cell_count: fig3::cell_count,
+    },
+    Campaign {
+        name: "fig4",
+        run: fig4::run,
+        cell_count: fig4::cell_count,
+    },
+    Campaign {
+        name: "fig5",
+        run: fig5::run,
+        cell_count: fig5::cell_count,
+    },
+    Campaign {
+        name: "table1",
+        run: table1::run,
+        cell_count: table1::cell_count,
+    },
+    Campaign {
+        name: "modis",
+        run: modis::run,
+        cell_count: modis::cell_count,
+    },
+    Campaign {
+        name: "frontier",
+        run: frontier::run,
+        cell_count: frontier::cell_count,
+    },
+    Campaign {
+        name: "geo",
+        run: geo::run,
+        cell_count: geo::cell_count,
+    },
+    Campaign {
+        name: "shedding",
+        run: shedding::run,
+        cell_count: shedding::cell_count,
+    },
+    Campaign {
+        name: "elastic",
+        run: elastic::run,
+        cell_count: elastic::cell_count,
+    },
+    Campaign {
+        name: "faas",
+        run: faas::run,
+        cell_count: faas::cell_count,
+    },
+    Campaign {
+        name: "consistency",
+        run: consistency::run,
+        cell_count: consistency::cell_count,
+    },
+    Campaign {
+        name: "ablations",
+        run: ablations::run,
+        cell_count: ablations::cell_count,
+    },
 ];
 
 /// Resolve a CLI target (including the `table2`/`fig7` aliases) to its
-/// canonical campaign name.
-pub fn canonical(target: &str) -> Option<&'static str> {
-    match target {
-        "table2" | "fig7" => Some("modis"),
-        t => ALL.iter().find(|n| **n == t).copied(),
-    }
-}
-
-/// Run one campaign by canonical name.
-pub fn run(name: &str, quick: bool, opts: &RunOpts) -> Option<CampaignOutput> {
-    Some(match canonical(name)? {
-        "fig1" => fig1::run(quick, opts),
-        "fig2" => fig2::run(quick, opts),
-        "fig3" => fig3::run(quick, opts),
-        "fig4" => fig4::run(quick, opts),
-        "fig5" => fig5::run(quick, opts),
-        "table1" => table1::run(quick, opts),
-        "modis" => modis::run(quick, opts),
-        "frontier" => frontier::run(quick, opts),
-        "geo" => geo::run(quick, opts),
-        "shedding" => shedding::run(quick, opts),
-        "elastic" => elastic::run(quick, opts),
-        "faas" => faas::run(quick, opts),
-        "consistency" => consistency::run(quick, opts),
-        "ablations" => ablations::run(quick, opts),
-        _ => unreachable!("canonical() returned an unknown name"),
-    })
-}
-
-/// Planned cell count of one campaign in one mode, without running it
-/// (the `azlab bench` report records quick and full counts side by
-/// side).
-pub fn cell_count(name: &str, quick: bool) -> Option<usize> {
-    Some(match canonical(name)? {
-        "fig1" => fig1::cell_count(quick),
-        "fig2" => fig2::cell_count(quick),
-        "fig3" => fig3::cell_count(quick),
-        "fig4" => fig4::cell_count(quick),
-        "fig5" => fig5::cell_count(quick),
-        "table1" => table1::cell_count(quick),
-        "modis" => modis::cell_count(quick),
-        "frontier" => frontier::cell_count(quick),
-        "geo" => geo::cell_count(quick),
-        "shedding" => shedding::cell_count(quick),
-        "elastic" => elastic::cell_count(quick),
-        "faas" => faas::cell_count(quick),
-        "consistency" => consistency::cell_count(quick),
-        "ablations" => ablations::cell_count(quick),
-        _ => unreachable!("canonical() returned an unknown name"),
-    })
+/// campaign.
+pub fn canonical(target: &str) -> Option<&'static Campaign> {
+    let name = match target {
+        "table2" | "fig7" => "modis",
+        t => t,
+    };
+    CAMPAIGNS.iter().find(|c| c.name == name)
 }
 
 /// Turn a `cloudbench` anchor constant plus a measurement into the
@@ -156,27 +180,4 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Shared `main` of the per-figure wrapper binaries: parse the common
-/// flags, run the named campaign sharded across the machine's cores,
-/// and emit into `results/` (or `results/quick/` under `--quick`).
-pub fn standalone_main(target: &str) {
-    let usage = format!(
-        "{target} [--quick] [--shards N] [--faults <preset>] [--trace <path>]  (or: azlab run {target})"
-    );
-    let flags = simlab::cli::parse_or_exit(&usage);
-    if !flags.words.is_empty() {
-        eprintln!("error: unexpected argument {:?}", flags.words[0]);
-        eprintln!("usage: {usage}");
-        std::process::exit(2);
-    }
-    let opts = RunOpts {
-        shards: flags.shards.unwrap_or_else(default_shards),
-        faults: flags.faults,
-        trace: flags.trace.map(|path| simlab::TraceSpec { cell: 0, path }),
-        tau: flags.tau,
-    };
-    let out = run(target, flags.quick, &opts).expect("wrapper binaries use canonical targets");
-    emit(&out, &crate::results_dir_for(flags.quick));
 }

@@ -1,8 +1,8 @@
-//! Campaign library and regeneration binaries.
+//! Campaign library and the `azlab` regeneration driver.
 //!
 //! The [`campaigns`] module holds every paper artifact as a library
-//! function driven by the `simlab` sharded runner; the `azlab` binary
-//! is the driver:
+//! function driven by the `simlab` sharded runner, listed once in
+//! [`campaigns::CAMPAIGNS`]; the `azlab` binary is the driver:
 //!
 //! | Campaign | Artifact | Full-scale runtime (release, 1 core) |
 //! |----------|----------|--------------------------------------|
@@ -23,9 +23,7 @@
 //!
 //! Run everything with `azlab run all [--quick] [--shards N]`, or one
 //! campaign with e.g. `azlab run fig3` (`table2` and `fig7` are aliases
-//! for `modis`, which emits both artifact sets). The per-figure
-//! binaries (`fig1` ... `fig7`, `table1`, `table2`, `ablations`) remain
-//! as thin wrappers over the same campaign functions.
+//! for `modis`, which emits both artifact sets).
 //!
 //! All targets accept `--quick` for a scaled-down run (artifacts then
 //! land in `results/quick/`), `--shards N` to spread cells over worker
@@ -77,11 +75,14 @@ mod tests {
 
     #[test]
     fn every_target_resolves() {
-        for name in campaigns::ALL {
-            assert_eq!(campaigns::canonical(name), Some(name));
+        let resolve = |t: &str| campaigns::canonical(t).map(|c| c.name);
+        let mut seen = std::collections::BTreeSet::new();
+        for c in campaigns::CAMPAIGNS {
+            assert!(seen.insert(c.name), "campaign {} listed twice", c.name);
+            assert_eq!(resolve(c.name), Some(c.name));
         }
-        assert_eq!(campaigns::canonical("table2"), Some("modis"));
-        assert_eq!(campaigns::canonical("fig7"), Some("modis"));
-        assert_eq!(campaigns::canonical("fig9"), None);
+        assert_eq!(resolve("table2"), Some("modis"));
+        assert_eq!(resolve("fig7"), Some("modis"));
+        assert_eq!(resolve("fig9"), None);
     }
 }

@@ -506,7 +506,7 @@ mod tests {
         // staggered over the first 0.5 s, pipe saturated throughout).
         let makespan = sim.now().as_secs_f64();
         // DONE_EPS settling slack can shave nanoseconds off the ideal 50 s.
-        assert!(makespan >= 49.9 && makespan < 50.6, "makespan={makespan}");
+        assert!((49.9..50.6).contains(&makespan), "makespan={makespan}");
     }
 
     #[test]

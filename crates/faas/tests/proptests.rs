@@ -2,9 +2,7 @@
 //! trace generation, three-way keepalive divergence on a fixed trace,
 //! and hybrid-histogram window bounds over arbitrary gap patterns.
 
-use faas::policy::{
-    KeepalivePolicy, PolicyKind, FIXED_WINDOW_S, MAX_KEEPALIVE_S, MIN_PREWARM_S, MIN_SAMPLES,
-};
+use faas::policy::{PolicyKind, FIXED_WINDOW_S, MAX_KEEPALIVE_S, MIN_PREWARM_S, MIN_SAMPLES};
 use faas::{run_faas, FaasConfig, FaasResult, FaasTrace, TraceShape};
 use proptest::prelude::*;
 use simcore::prelude::*;

@@ -1021,7 +1021,7 @@ mod tests {
             // Suspend with a request in flight: the drain must wait.
             let dep = Rc::new(dep);
             let dep2 = Rc::clone(&dep);
-            let slow = dep.fc.sim.clone().spawn(async move {
+            let _slow = dep.fc.sim.clone().spawn(async move {
                 dep2.handle_request(SimDuration::from_secs(20))
                     .await
                     .unwrap();
@@ -1030,7 +1030,6 @@ mod tests {
             dep.fc.sim.delay(SimDuration::from_millis(1)).await;
             let t0 = dep.fc.sim.now();
             let sus = dep.suspend().await.unwrap();
-            let _ = slow;
             let waited = (dep.fc.sim.now() - t0).as_secs_f64();
             assert!(waited >= 20.0 - 0.1, "suspend did not drain: {waited}s");
             assert!(sus.duration.as_secs_f64() >= 20.0 - 0.1);

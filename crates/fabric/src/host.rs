@@ -301,7 +301,7 @@ mod tests {
                 found = Some(t);
                 break;
             }
-            t = t + SimDuration::from_mins(10);
+            t += SimDuration::from_mins(10);
         }
         let t = found.expect("forced-bad pool never degraded");
         // Instantaneous slowdown: a short job fully inside the episode

@@ -260,7 +260,7 @@ mod tests {
             (0.0001..0.03).contains(&overall),
             "overall timeout fraction = {overall}"
         );
-        assert_eq!(t.count(Outcome::VmExecutionTimeout) > 0, true);
+        assert!(t.count(Outcome::VmExecutionTimeout) > 0);
         assert_eq!(r.monitor_kills, t.count(Outcome::VmExecutionTimeout));
         // Bursty: the worst day is much worse than the overall rate.
         let max_daily = t.max_daily_timeout_fraction();

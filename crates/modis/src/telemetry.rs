@@ -574,7 +574,7 @@ mod tests {
             t.record_execution(
                 SimTime::ZERO + SimDuration::from_days(day as u64) + SimDuration::from_hours(i),
                 TaskKind::Reprojection,
-                if i % 7 == 0 {
+                if i.is_multiple_of(7) {
                     Outcome::VmExecutionTimeout
                 } else {
                     Outcome::Success

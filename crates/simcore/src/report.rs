@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn num_and_pct_formatting() {
-        assert_eq!(num(3.14159, 2), "3.14");
+        assert_eq!(num(1.23456, 2), "1.23");
         assert_eq!(num(f64::NAN, 2), "n/a");
         assert_eq!(pct(0.0457), "4.57%");
     }

@@ -663,9 +663,10 @@ mod tests {
         let got: Rc<RefCell<Vec<Option<u32>>>> = Rc::default();
         let g = got.clone();
         sim.spawn(async move {
-            g.borrow_mut().push(rx.recv().await);
-            g.borrow_mut().push(rx.recv().await);
-            g.borrow_mut().push(rx.recv().await);
+            for _ in 0..3 {
+                let v = rx.recv().await;
+                g.borrow_mut().push(v);
+            }
         });
         sim.run();
         assert_eq!(*got.borrow(), vec![Some(1), Some(2), None]);

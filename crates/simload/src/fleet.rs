@@ -24,7 +24,8 @@ use simfault::{Backoff, GiveUp, Jitter, RetryBudget, RetryPolicy};
 use simtrace::Layer;
 
 use crate::arrival::ArrivalProcess;
-use crate::slo::{FailClass, SloTracker};
+use crate::drive::{drive, latency_since, Window};
+use crate::slo::SloTracker;
 
 /// Number of table partitions the seeded benchmark entities spread
 /// across (matches the Fig 2 protocol's multi-partition layout).
@@ -190,43 +191,32 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
     let horizon = cfg.warmup_s + cfg.window_s;
     let instants = cfg.process.instants(&mut rng, cfg.offered_ops_s, horizon);
 
-    let tracker = Rc::new(RefCell::new(SloTracker::new(cfg.deadline_s)));
-    // Completion events landing inside the measurement window, from
-    // *any* arrival (warmup cohort included): `(all, within deadline)`.
-    // In steady state completions of warmup arrivals inside the window
-    // balance window arrivals completing after it, so `drained /
-    // window` is the unbiased throughput on both sides of the knee.
-    let drained = Rc::new(std::cell::Cell::new((0u64, 0u64)));
     // Per-client-VM retry budgets (shared across that VM's arrivals).
     let budgets: Option<Vec<Rc<RetryBudget>>> = cfg.shed_retry.map(|sr| {
         (0..clients.len())
             .map(|_| Rc::new(RetryBudget::new(sr.budget_max, sr.budget_earn)))
             .collect()
     });
-    let retries_total = Rc::new(std::cell::Cell::new(0u64));
-    let (warmup_s, horizon_s, deadline_s) = (cfg.warmup_s, horizon, cfg.deadline_s);
-    let mut in_window = 0u64;
-    for (i, &t) in instants.iter().enumerate() {
-        let measured = t >= cfg.warmup_s;
-        if measured {
-            in_window += 1;
-            tracker.borrow_mut().note_scheduled();
-        }
-        let s = sim.clone();
+    let retries_total = Rc::new(Cell::new(0u64));
+    let window = Window {
+        offset_s: 0.0,
+        warmup_s: cfg.warmup_s,
+        window_s: cfg.window_s,
+        deadline_s: cfg.deadline_s,
+    };
+    let (shed_retry, workload, deadline_s) = (cfg.shed_retry, cfg.workload, cfg.deadline_s);
+    let retries = Rc::clone(&retries_total);
+    let s = sim.clone();
+    let run = drive(sim, &instants, window, move |i, t| {
+        let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(&tracker);
-        let drained = Rc::clone(&drained);
-        let retries_total = Rc::clone(&retries_total);
         let budget = budgets.as_ref().map(|b| Rc::clone(&b[i % clients.len()]));
-        let shed_retry = cfg.shed_retry;
-        let workload = cfg.workload;
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            s.sleep_until(sched).await;
+        let retries_total = Rc::clone(&retries);
+        async move {
             let sp = simtrace::span(Layer::Load, "load.op", || {
                 format!("load:{}", workload.name())
             });
-            sp.attr("sched_s", format!("{t:.6}"));
+            sp.attr("sched_s", format_args!("{t:.6}"));
             // The absolute SLO deadline, declared to the front door
             // before every attempt: a retry that arrives with most of
             // its budget already burned is exactly the request a
@@ -242,7 +232,7 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
                         jitter: Jitter::Centered,
                         retry_counter: Some("load.shed_retries"),
                     };
-                    let attempts = std::cell::Cell::new(0u64);
+                    let attempts = Cell::new(0u64);
                     let r = policy
                         .run_budgeted(
                             &s,
@@ -263,46 +253,30 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
                 }
                 _ => {
                     azstore::admit::stash_deadline(deadline_abs_s);
-                    fire(Rc::clone(&client), workload, i)
+                    fire(client, workload, i)
                         .await
                         .map_err(|e| (e, GiveUp::NotRetryable))
                 }
             };
             let ok = res.is_ok();
-            // Coordinated-omission-free: charge from the scheduled
-            // instant, not from when the op actually got issued.
-            let latency_s = (s.now() - sched).as_secs_f64();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
+            sp.attr(
+                "latency_ms",
+                format_args!("{:.3}", latency_since(&s, t) * 1e3),
+            );
             sp.attr("deadline", if ok { "met" } else { "failed" });
             sp.end();
-            let done_s = s.now().as_secs_f64();
-            if ok && (warmup_s..horizon_s).contains(&done_s) {
-                let (all, good) = drained.get();
-                let met = (latency_s <= deadline_s) as u64;
-                drained.set((all + 1, good + met));
-            }
-            if measured {
-                let mut tr = tracker.borrow_mut();
-                match res {
-                    Ok(()) => tr.record_ok(latency_s, done_s),
-                    Err((e, giveup)) => tr.record_fail(classify(&e, giveup)),
-                }
-            }
-        });
-    }
-    sim.run();
+            res.map(|()| None)
+        }
+    });
+    let m = run.run();
 
-    let slo = Rc::try_unwrap(tracker)
-        .expect("all arrival tasks finished")
-        .into_inner();
-    let (all, good) = drained.get();
     let (admit_accepted, admit_shed) = stamp.admission_stats();
     LoadCellResult {
         offered_ops_s: cfg.offered_ops_s,
-        scheduled_ops_s: in_window as f64 / cfg.window_s,
-        achieved_ops_s: all as f64 / cfg.window_s,
-        goodput_ops_s: good as f64 / cfg.window_s,
-        slo,
+        scheduled_ops_s: m.scheduled_ops_s,
+        achieved_ops_s: m.achieved_ops_s,
+        goodput_ops_s: m.goodput_ops_s,
+        slo: m.slo,
         retries: retries_total.get(),
         admit_accepted,
         admit_shed,
@@ -333,87 +307,6 @@ pub fn seed_workload(stamp: &Rc<StorageStamp>, workload: Workload) {
     }
 }
 
-/// Live progress counters for an open-loop run, shared with whoever is
-/// watching the fleet (the elastic supervisor reads queue depth as
-/// `dispatched - completed` and goodput deltas between control ticks).
-#[derive(Debug, Default)]
-pub struct LoadObserver {
-    /// Arrivals whose scheduled instant has passed (op issued).
-    pub dispatched: Cell<u64>,
-    /// Ops finished, successfully or not.
-    pub completed: Cell<u64>,
-    /// Ops finished successfully within the deadline.
-    pub good: Cell<u64>,
-    /// Ops failed with a shed (`ServerBusy`) response.
-    pub shed: Cell<u64>,
-}
-
-impl LoadObserver {
-    /// Ops issued but not yet finished — the fleet's backlog.
-    pub fn in_flight(&self) -> u64 {
-        self.dispatched.get() - self.completed.get()
-    }
-}
-
-/// Spawn one task per arrival, shifted `offset_s` into the future, with
-/// latency charged from the shifted scheduled instant (coordinated-
-/// omission-free, like [`run_open_loop`]). Every arrival is recorded in
-/// `tracker`; `observer` counts progress for an external control loop.
-/// Sheds fail the op outright (no client retries): an elastic
-/// controller is expected to buy capacity, not paper over the shortfall
-/// with retry storms. Does not call `sim.run()`.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_arrivals(
-    sim: &Sim,
-    clients: &[Rc<StorageAccountClient>],
-    workload: Workload,
-    instants: &[f64],
-    offset_s: f64,
-    deadline_s: f64,
-    tracker: &Rc<RefCell<SloTracker>>,
-    observer: &Rc<LoadObserver>,
-) {
-    assert!(!clients.is_empty(), "fleet must be non-empty");
-    for (i, &t) in instants.iter().enumerate() {
-        tracker.borrow_mut().note_scheduled();
-        let s = sim.clone();
-        let client = Rc::clone(&clients[i % clients.len()]);
-        let tracker = Rc::clone(tracker);
-        let observer = Rc::clone(observer);
-        sim.spawn(async move {
-            let sched = SimTime::ZERO + SimDuration::from_secs_f64(offset_s + t);
-            s.sleep_until(sched).await;
-            observer.dispatched.set(observer.dispatched.get() + 1);
-            let sp = simtrace::span(Layer::Load, "load.op", || {
-                format!("load:{}", workload.name())
-            });
-            sp.attr("sched_s", format!("{:.6}", offset_s + t));
-            azstore::admit::stash_deadline(offset_s + t + deadline_s);
-            let res = fire(Rc::clone(&client), workload, i).await;
-            let latency_s = (s.now() - sched).as_secs_f64();
-            let ok = res.is_ok();
-            sp.attr("latency_ms", format!("{:.3}", latency_s * 1e3));
-            sp.attr("deadline", if ok { "met" } else { "failed" });
-            sp.end();
-            observer.completed.set(observer.completed.get() + 1);
-            if ok && latency_s <= deadline_s {
-                observer.good.set(observer.good.get() + 1);
-            }
-            let done_s = s.now().as_secs_f64();
-            let mut tr = tracker.borrow_mut();
-            match res {
-                Ok(()) => tr.record_ok(latency_s, done_s),
-                Err(e) => {
-                    if e == StorageError::ServerBusy {
-                        observer.shed.set(observer.shed.get() + 1);
-                    }
-                    tr.record_fail(classify(&e, GiveUp::NotRetryable));
-                }
-            }
-        });
-    }
-}
-
 /// Fire one workload op; discard the payload-specific success value.
 pub async fn fire(
     client: Rc<StorageAccountClient>,
@@ -433,16 +326,6 @@ pub async fn fire(
             .add("load", format!("m{i}"), message_bytes)
             .await
             .map(|_| ()),
-    }
-}
-
-/// Map a final error + give-up reason to its SLO failure class.
-fn classify(e: &StorageError, giveup: GiveUp) -> FailClass {
-    match (e, giveup) {
-        (StorageError::ServerBusy, GiveUp::BudgetExhausted) => FailClass::BudgetExhausted,
-        (StorageError::ServerBusy, _) => FailClass::Shed,
-        (StorageError::Timeout, _) => FailClass::Timeout,
-        _ => FailClass::Other,
     }
 }
 

@@ -11,6 +11,9 @@
 //!   rate, Poisson, MMPP-style bursty on/off, diurnal curve, recorded
 //!   replay) drawn from a dedicated `simcore` RNG stream, so the event
 //!   stream is byte-reproducible and shard-invariant;
+//! * [`drive`] — the one open-loop driver: one task per scheduled
+//!   arrival, latency charged from the scheduled instant, window
+//!   throughput and SLO accounting, shared by every open-loop cell;
 //! * [`run_open_loop`] — a client fleet that fires blob/table/queue
 //!   operations against `azstore` at the scheduled instants and
 //!   charges latency from those instants;
@@ -24,14 +27,15 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
+mod drive;
 pub mod fleet;
 pub mod observe;
 pub mod slo;
 
 pub use arrival::ArrivalProcess;
+pub use drive::{drive, latency_since, Drive, LoadObserver, Measured, OpResult, Window};
 pub use fleet::{
-    fire, run_open_loop, seed_workload, spawn_arrivals, LoadCellResult, LoadConfig, LoadObserver,
-    ShedRetry, Workload,
+    fire, run_open_loop, seed_workload, LoadCellResult, LoadConfig, ShedRetry, Workload,
 };
 pub use observe::WindowedArrivals;
 pub use slo::{FailClass, SloTracker};

@@ -14,7 +14,8 @@ fn run_at(name: &str, shards: usize, faults: Option<FaultPlan>) -> CampaignOutpu
         trace: None,
         tau: None,
     };
-    campaigns::run(name, true, &opts).expect("known campaign name")
+    let campaign = campaigns::canonical(name).expect("known campaign name");
+    (campaign.run)(true, &opts)
 }
 
 /// Wrap a campaign output in a one-campaign manifest with a fixed
