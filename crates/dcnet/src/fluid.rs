@@ -100,167 +100,189 @@ pub struct FlowSpec {
 ///
 /// `models[l]` describes link `l`; `flows[f]` describes flow `f`. Effective
 /// capacities and per-flow ceilings are evaluated at the *current* flow
-/// counts. Returns one rate per flow (bytes/s).
+/// counts. Returns one rate per flow (bytes/s). A convenience wrapper that
+/// packs `flows` into the compressed form [`MaxMin::solve`] takes.
 pub fn max_min_rates(models: &[LinkModel], flows: &[FlowSpec]) -> Vec<f64> {
-    let nf = flows.len();
-    let nl = models.len();
-    if nf == 0 {
-        return Vec::new();
-    }
-
-    // Flow counts per link -> effective capacities & per-flow ceilings.
-    let mut flows_on_link = vec![0usize; nl];
+    let caps: Vec<f64> = flows.iter().map(|f| f.cap).collect();
+    let mut off = Vec::with_capacity(flows.len() + 1);
+    let mut flat = Vec::new();
+    off.push(0);
     for f in flows {
-        for &l in &f.links {
-            flows_on_link[l] += 1;
-        }
+        flat.extend_from_slice(&f.links);
+        off.push(flat.len());
     }
-    let link_cap: Vec<f64> = models
-        .iter()
-        .enumerate()
-        .map(|(l, m)| m.effective_capacity(flows_on_link[l]))
-        .collect();
+    MaxMin::default().solve(models, &caps, &off, &flat).to_vec()
+}
 
-    // Each flow's total cap: intrinsic cap ∧ every PerFlow ceiling it crosses.
-    let caps: Vec<f64> = flows
-        .iter()
-        .map(|f| {
-            let mut c = f.cap;
-            for &l in &f.links {
-                c = c.min(models[l].per_flow_cap(flows_on_link[l]));
+/// Reusable working storage for the max-min solver. Keeping one across
+/// recomputations makes each solve allocation-free once the buffers have
+/// grown to the largest component seen.
+#[derive(Debug, Default)]
+pub struct MaxMin {
+    active_on_link: Vec<usize>,
+    remaining_cap: Vec<f64>,
+    /// Each flow's total cap: intrinsic cap ∧ every PerFlow ceiling it crosses.
+    ceiling: Vec<f64>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+    /// Transpose of the input: the flows crossing link `l` are
+    /// `by_link[by_link_off[l]..by_link_off[l + 1]]`, in ascending order.
+    by_link_off: Vec<usize>,
+    by_link: Vec<usize>,
+    /// Next free position in each link's `by_link` bucket while filling.
+    cursor: Vec<usize>,
+}
+
+impl MaxMin {
+    /// Max-min fair rates (progressive filling) for flows given in
+    /// compressed sparse rows: flow `f` has intrinsic cap `caps[f]` and
+    /// crosses links `flat[off[f]..off[f + 1]]`, which index `models`.
+    /// Links are visited in `models` order and flows in index order, so
+    /// the result is a pure function of the inputs, bit for bit. Returns
+    /// one rate per flow (bytes/s).
+    pub fn solve(
+        &mut self,
+        models: &[LinkModel],
+        caps: &[f64],
+        off: &[usize],
+        flat: &[usize],
+    ) -> &[f64] {
+        let nf = caps.len();
+        let nl = models.len();
+        debug_assert_eq!(off.len(), nf + 1);
+        self.rates.clear();
+        if nf == 0 {
+            return &self.rates;
+        }
+        let links_of = |f: usize| &flat[off[f]..off[f + 1]];
+
+        // Flow counts per link -> effective capacities & per-flow ceilings.
+        let active_on_link = &mut self.active_on_link;
+        active_on_link.clear();
+        active_on_link.resize(nl, 0);
+        for &l in flat {
+            active_on_link[l] += 1;
+        }
+        let remaining_cap = &mut self.remaining_cap;
+        remaining_cap.clear();
+        remaining_cap.extend(
+            models
+                .iter()
+                .enumerate()
+                .map(|(l, m)| m.effective_capacity(active_on_link[l])),
+        );
+
+        self.ceiling.clear();
+        self.ceiling.extend((0..nf).map(|f| {
+            let mut c = caps[f];
+            for &l in links_of(f) {
+                c = c.min(models[l].per_flow_cap(active_on_link[l]));
             }
             c.max(0.0)
-        })
-        .collect();
+        }));
+        let ceiling = &self.ceiling;
 
-    let mut rates = vec![0.0f64; nf];
-    let mut frozen = vec![false; nf];
-    let mut remaining_cap = link_cap;
-    let mut active_on_link = flows_on_link;
-
-    let freeze = |f: usize,
-                  rate: f64,
-                  rates: &mut [f64],
-                  frozen: &mut [bool],
-                  remaining_cap: &mut [f64],
-                  active_on_link: &mut [usize]| {
-        rates[f] = rate;
-        frozen[f] = true;
-        for &l in &flows[f].links {
-            remaining_cap[l] = (remaining_cap[l] - rate).max(0.0);
-            active_on_link[l] -= 1;
+        self.by_link_off.clear();
+        self.by_link_off.push(0);
+        let mut acc = 0;
+        for &n in active_on_link.iter() {
+            acc += n;
+            self.by_link_off.push(acc);
         }
-    };
-
-    let mut active = nf;
-    while active > 0 {
-        // Bottleneck share: min over links (with active flows) of the
-        // equal split of the remaining capacity.
-        let mut s_star = f64::INFINITY;
-        for l in 0..nl {
-            if active_on_link[l] > 0 && remaining_cap[l].is_finite() {
-                s_star = s_star.min(remaining_cap[l] / active_on_link[l] as f64);
-            }
-        }
-        // Smallest active flow cap.
-        let mut c_star = f64::INFINITY;
+        self.by_link.clear();
+        self.by_link.resize(flat.len(), 0);
+        let cursor = &mut self.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&self.by_link_off[..nl]);
         for f in 0..nf {
-            if !frozen[f] {
-                c_star = c_star.min(caps[f]);
+            for &l in links_of(f) {
+                self.by_link[cursor[l]] = f;
+                cursor[l] += 1;
             }
         }
 
-        if c_star <= s_star && c_star.is_finite() {
-            // Cap-limited flows cannot use their share: freeze them at cap.
-            for f in 0..nf {
-                if !frozen[f] && caps[f] <= s_star {
-                    let r = caps[f];
-                    freeze(
-                        f,
-                        r,
-                        &mut rates,
-                        &mut frozen,
-                        &mut remaining_cap,
-                        &mut active_on_link,
-                    );
-                    active -= 1;
+        let rates = &mut self.rates;
+        rates.resize(nf, 0.0);
+        let frozen = &mut self.frozen;
+        frozen.clear();
+        frozen.resize(nf, false);
+
+        let freeze = |f: usize,
+                      rate: f64,
+                      rates: &mut [f64],
+                      frozen: &mut [bool],
+                      remaining_cap: &mut [f64],
+                      active_on_link: &mut [usize]| {
+            rates[f] = rate;
+            frozen[f] = true;
+            for &l in links_of(f) {
+                remaining_cap[l] = (remaining_cap[l] - rate).max(0.0);
+                active_on_link[l] -= 1;
+            }
+        };
+
+        let mut active = nf;
+        while active > 0 {
+            // Bottleneck share: min over links (with active flows) of the
+            // equal split of the remaining capacity.
+            let mut s_star = f64::INFINITY;
+            for l in 0..nl {
+                if active_on_link[l] > 0 && remaining_cap[l].is_finite() {
+                    s_star = s_star.min(remaining_cap[l] / active_on_link[l] as f64);
                 }
             }
-        } else if s_star.is_finite() {
-            // Freeze every active flow crossing a bottleneck link at s*.
-            let mut froze_any = false;
-            for l in 0..nl {
-                if active_on_link[l] > 0
-                    && remaining_cap[l].is_finite()
-                    && remaining_cap[l] / active_on_link[l] as f64 <= s_star * (1.0 + 1e-12)
-                {
-                    // Collect first: freezing mutates active_on_link.
-                    let on_l: Vec<usize> = (0..nf)
-                        .filter(|&f| !frozen[f] && flows[f].links.contains(&l))
-                        .collect();
-                    for f in on_l {
-                        if !frozen[f] {
-                            freeze(
-                                f,
-                                s_star,
-                                &mut rates,
-                                &mut frozen,
-                                &mut remaining_cap,
-                                &mut active_on_link,
-                            );
-                            active -= 1;
-                            froze_any = true;
+            // Smallest active flow cap.
+            let mut c_star = f64::INFINITY;
+            for f in 0..nf {
+                if !frozen[f] {
+                    c_star = c_star.min(ceiling[f]);
+                }
+            }
+
+            if c_star <= s_star && c_star.is_finite() {
+                // Cap-limited flows cannot use their share: freeze them at cap.
+                for f in 0..nf {
+                    if !frozen[f] && ceiling[f] <= s_star {
+                        let r = ceiling[f];
+                        freeze(f, r, rates, frozen, remaining_cap, active_on_link);
+                        active -= 1;
+                    }
+                }
+            } else if s_star.is_finite() {
+                // Freeze every active flow crossing a bottleneck link at s*.
+                let mut froze_any = false;
+                for l in 0..nl {
+                    if active_on_link[l] > 0
+                        && remaining_cap[l].is_finite()
+                        && remaining_cap[l] / active_on_link[l] as f64 <= s_star * (1.0 + 1e-12)
+                    {
+                        for &f in &self.by_link[self.by_link_off[l]..self.by_link_off[l + 1]] {
+                            if !frozen[f] {
+                                freeze(f, s_star, rates, frozen, remaining_cap, active_on_link);
+                                active -= 1;
+                                froze_any = true;
+                            }
                         }
                     }
                 }
-            }
-            debug_assert!(froze_any, "progressive filling made no progress");
-            if !froze_any {
-                break;
-            }
-        } else {
-            // No finite constraint anywhere: unconstrained flows would get
-            // infinite rate; clamp to a huge finite value to stay numeric.
-            for f in 0..nf {
-                if !frozen[f] {
-                    rates[f] = f64::MAX / 4.0;
-                    frozen[f] = true;
-                    active -= 1;
+                debug_assert!(froze_any, "progressive filling made no progress");
+                if !froze_any {
+                    break;
+                }
+            } else {
+                // No finite constraint anywhere: unconstrained flows would get
+                // infinite rate; clamp to a huge finite value to stay numeric.
+                for f in 0..nf {
+                    if !frozen[f] {
+                        rates[f] = f64::MAX / 4.0;
+                        frozen[f] = true;
+                        active -= 1;
+                    }
                 }
             }
         }
+        rates
     }
-    rates
-}
-
-/// Sparse entry point: like [`max_min_rates`], but looks up only the
-/// links the flows actually cross via `model_of`. Networks with very
-/// many links (one egress pipe per blob) but few active flows pay
-/// O(active links), not O(all links), per recomputation.
-pub fn max_min_rates_with(
-    flows: &[FlowSpec],
-    mut model_of: impl FnMut(usize) -> LinkModel,
-) -> Vec<f64> {
-    use std::collections::HashMap;
-    let mut dense: HashMap<usize, usize> = HashMap::new();
-    let mut used_models: Vec<LinkModel> = Vec::new();
-    let dense_flows: Vec<FlowSpec> = flows
-        .iter()
-        .map(|f| FlowSpec {
-            cap: f.cap,
-            links: f
-                .links
-                .iter()
-                .map(|&l| {
-                    *dense.entry(l).or_insert_with(|| {
-                        used_models.push(model_of(l));
-                        used_models.len() - 1
-                    })
-                })
-                .collect(),
-        })
-        .collect();
-    max_min_rates(&used_models, &dense_flows)
 }
 
 #[cfg(test)]

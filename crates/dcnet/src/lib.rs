@@ -2,14 +2,15 @@
 //!
 //! The network substrate for the Windows Azure reproduction. Instead of
 //! packets, transfers are *fluid flows*: whenever the set of active flows
-//! changes, every flow's rate is recomputed as its max-min fair share
-//! across all links it crosses ([`fluid::max_min_rates`]), and completion
-//! events are rescheduled. This reproduces second-scale bandwidth
-//! behaviour (who shares what, where the bottleneck is, how a late joiner
-//! slows everyone) at a tiny fraction of packet-level cost.
+//! changes, the rates of the flows it touches are recomputed as their
+//! max-min fair shares across all links they cross ([`fluid::MaxMin`]),
+//! and their completion instants are re-timed. This reproduces
+//! second-scale bandwidth behaviour (who shares what, where the
+//! bottleneck is, how a late joiner slows everyone) at a tiny fraction of
+//! packet-level cost.
 //!
 //! * [`fluid`] — pure max-min allocation + the three link models
-//! * [`net`] — the live [`net::Network`]: links, flows, rescheduling
+//! * [`net`] — the live [`net::Network`]: links, flows, completion timing
 //! * [`topology`] — two-tier rack/core fabric and path selection
 //! * [`latency`] — topology-mixture RTT model (paper Fig 4)
 //! * [`region`] — seed-pure region↔region RTT map (cross-region routing)

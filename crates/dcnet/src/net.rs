@@ -1,20 +1,30 @@
 //! The live network: links + active flows over a simulation.
 //!
-//! Every [`Network::transfer`] registers a fluid flow. Whenever the flow
-//! set changes, all rates are recomputed with
-//! [`crate::fluid::max_min_rates`], in-flight byte counts are settled at
-//! the old rates, and each flow's completion event is rescheduled. Flow
-//! bookkeeping uses a `BTreeMap` so iteration order — and therefore the
-//! whole simulation — is deterministic.
+//! Every [`Network::transfer`] registers a fluid flow. When the flow set
+//! changes, the network walks the connected component of flows that share
+//! links (transitively) with the change, settles their in-flight bytes at
+//! the old rates, re-solves that component's max-min rates with
+//! [`crate::fluid::MaxMin`] and recomputes each member's due instant.
+//!
+//! Due instants live in a network-local lazy heap. The network keeps
+//! exactly one kernel event armed, at the earliest due flow, and moves it
+//! only when that head changes. Each due instant carries a sequence number
+//! reserved from the kernel ([`Sim::reserve_seq`]) at the moment it is
+//! computed, and the armed event fires under it ([`Sim::schedule_at_seq`]),
+//! so every completion lands in the same `(time, seq)` slot of the kernel's
+//! total order as a dedicated event would. Components are solved and
+//! rescheduled in ascending flow id, so the whole simulation is
+//! deterministic.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use simcore::prelude::*;
 use simcore::EventHandle;
 
-use crate::fluid::{FlowSpec, LinkModel};
+use crate::fluid::{LinkModel, MaxMin};
 
 /// Identifier of a link in one [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,31 +62,245 @@ struct LinkEntry {
     #[allow(dead_code)]
     name: String,
     model: LinkModel,
+    /// Slots of the flows crossing this link, each once, in no order.
+    flows: Vec<usize>,
+    /// Epoch of the last walk or dense mapping that visited this link.
+    stamp: u64,
+    /// This link's index in the current solve's dense link order.
+    dense: usize,
 }
 
 struct FlowRt {
+    /// Monotonic registration number: the solve and reschedule order.
+    id: u64,
     links: Vec<usize>,
     cap: f64,
     remaining: f64,
     rate: f64,
     last_update: SimTime,
-    completion: Option<EventHandle>,
+    /// `(time, seq)` of the pending completion; `None` while stalled.
+    due: Option<(SimTime, u64)>,
+    /// Epoch of the last component walk that reached this flow.
+    stamp: u64,
     done: Signal,
 }
 
-struct NetState {
-    sim: Sim,
-    links: RefCell<Vec<LinkEntry>>,
-    flows: RefCell<BTreeMap<u64, FlowRt>>,
-    next_flow: Cell<u64>,
-    recomputes: Cell<u64>,
-    completed: Cell<u64>,
+impl FlowRt {
+    /// Deduct progress made at the current rate up to `now`.
+    fn settle(&mut self, now: SimTime) {
+        let dt = (now - self.last_update).as_secs_f64();
+        if dt > 0.0 && self.rate > 0.0 {
+            self.remaining = (self.remaining - self.rate * dt).max(0.0);
+        }
+        self.last_update = now;
+    }
+}
+
+/// A pending completion: `(time, seq, slot)`, earliest first.
+type Due = Reverse<(SimTime, u64, usize)>;
+
+/// A heap entry is live iff it equals its flow's current `due`.
+fn is_live(flows: &[Option<FlowRt>], &Reverse((at, seq, slot)): &Due) -> bool {
+    matches!(&flows[slot], Some(f) if f.due == Some((at, seq)))
+}
+
+#[derive(Default)]
+struct State {
+    links: Vec<LinkEntry>,
+    /// Flow slab; freed slots are reused through `free`.
+    flows: Vec<Option<FlowRt>>,
+    free: Vec<usize>,
+    live: usize,
+    next_flow: u64,
+    epoch: u64,
+    /// Lazy completion heap: an entry is live iff it equals its flow's
+    /// current `due`; stale entries are dropped when they surface.
+    due: BinaryHeap<Due>,
+    /// The one kernel event this network has armed, at the live head.
+    armed: Option<(SimTime, u64, EventHandle)>,
+    // Scratch reused by every recomputation.
+    members: Vec<usize>,
+    stack: Vec<usize>,
+    models: Vec<LinkModel>,
+    caps: Vec<f64>,
+    off: Vec<usize>,
+    flat: Vec<usize>,
+    solver: MaxMin,
+    // Work counters.
+    recomputes: u64,
+    completed: u64,
+    component_rebuilds: u64,
+    members_touched: u64,
+}
+
+impl State {
+    fn flow(&mut self, slot: usize) -> &mut FlowRt {
+        self.flows[slot].as_mut().expect("live flow slot")
+    }
+
+    fn insert(&mut self, flow: FlowRt) -> usize {
+        let slot = match self.free.pop() {
+            Some(s) => s,
+            None => {
+                self.flows.push(None);
+                self.flows.len() - 1
+            }
+        };
+        for &l in &flow.links {
+            let on = &mut self.links[l].flows;
+            // A path that repeats a link is indexed once.
+            if on.last() != Some(&slot) {
+                on.push(slot);
+            }
+        }
+        self.flows[slot] = Some(flow);
+        self.live += 1;
+        slot
+    }
+
+    fn remove(&mut self, slot: usize) -> FlowRt {
+        let flow = self.flows[slot].take().expect("live flow slot");
+        for &l in &flow.links {
+            let on = &mut self.links[l].flows;
+            if let Some(p) = on.iter().position(|&s| s == slot) {
+                on.swap_remove(p);
+            }
+        }
+        self.free.push(slot);
+        self.live -= 1;
+        flow
+    }
+
+    /// Order `members` by flow id and settle them at `now`: everyone
+    /// else's rate is unchanged, so their progress stays linear and
+    /// needs no checkpoint.
+    fn sort_and_settle_members(&mut self, now: SimTime) {
+        let flows = &mut self.flows;
+        self.members
+            .sort_unstable_by_key(|&s| flows[s].as_ref().expect("member is live").id);
+        for &slot in &self.members {
+            flows[slot].as_mut().expect("member is live").settle(now);
+        }
+    }
+
+    /// Fill `members` with the connected component of flows reachable
+    /// (via shared links) from `seed` links, in ascending flow id, and
+    /// settle them at `now`. A depth-first walk over the link→flows index
+    /// with per-epoch marks: O(component), no rescans.
+    fn component(&mut self, seed: impl IntoIterator<Item = usize>, now: SimTime) {
+        self.component_rebuilds += 1;
+        self.epoch += 1;
+        let e = self.epoch;
+        let State {
+            links,
+            flows,
+            members,
+            stack,
+            ..
+        } = self;
+        members.clear();
+        stack.clear();
+        for l in seed {
+            if links[l].stamp != e {
+                links[l].stamp = e;
+                stack.push(l);
+            }
+        }
+        while let Some(l) = stack.pop() {
+            for i in 0..links[l].flows.len() {
+                let slot = links[l].flows[i];
+                let f = flows[slot].as_mut().expect("indexed flow is live");
+                if f.stamp == e {
+                    continue;
+                }
+                f.stamp = e;
+                members.push(slot);
+                for &l2 in &f.links {
+                    if links[l2].stamp != e {
+                        links[l2].stamp = e;
+                        stack.push(l2);
+                    }
+                }
+            }
+        }
+        self.sort_and_settle_members(now);
+    }
+
+    /// Solve max-min rates for `members` and give each a fresh due
+    /// instant under a newly reserved kernel seq (in member order, one
+    /// seq per flow with a positive rate).
+    fn reallocate(&mut self, sim: &Sim) {
+        self.recomputes += 1;
+        self.members_touched += self.members.len() as u64;
+        self.epoch += 1;
+        let e = self.epoch;
+        let State {
+            links,
+            flows,
+            due,
+            live,
+            members,
+            models,
+            caps,
+            off,
+            flat,
+            solver,
+            ..
+        } = self;
+        // Dense link order = first appearance over members in id order,
+        // each flow's links in path order. Only the links these flows
+        // cross are consulted (the network may hold one egress pipe per
+        // blob while only dozens are busy).
+        models.clear();
+        caps.clear();
+        off.clear();
+        flat.clear();
+        off.push(0);
+        for &slot in members.iter() {
+            let f = flows[slot].as_ref().expect("member is live");
+            caps.push(f.cap);
+            for &l in &f.links {
+                let link = &mut links[l];
+                if link.stamp != e {
+                    link.stamp = e;
+                    link.dense = models.len();
+                    models.push(link.model);
+                }
+                flat.push(link.dense);
+            }
+            off.push(flat.len());
+        }
+        let rates = solver.solve(models, caps, off, flat);
+        let now = sim.now();
+        for (&slot, &rate) in members.iter().zip(rates) {
+            let f = flows[slot].as_mut().expect("member is live");
+            f.rate = rate;
+            f.due = None;
+            if rate > 0.0 {
+                let fire_at = now + SimDuration::from_secs_f64(f.remaining / rate);
+                let seq = sim.reserve_seq();
+                f.due = Some((fire_at, seq));
+                due.push(Reverse((fire_at, seq, slot)));
+            }
+            // rate == 0: flow is stalled; it gets a due instant when
+            // capacity appears (a future recompute).
+        }
+        // Bound the lazy heap: drop stale entries once they dominate.
+        if due.len() > 2 * *live + 64 {
+            due.retain(|d| is_live(flows, d));
+        }
+    }
 }
 
 /// Handle to one network; clone freely.
 #[derive(Clone)]
 pub struct Network {
     st: Rc<NetState>,
+}
+
+struct NetState {
+    sim: Sim,
+    state: RefCell<State>,
 }
 
 /// Treat a residue below half a byte as drained (float settling slack).
@@ -88,11 +312,7 @@ impl Network {
         Network {
             st: Rc::new(NetState {
                 sim: sim.clone(),
-                links: RefCell::new(Vec::new()),
-                flows: RefCell::new(BTreeMap::new()),
-                next_flow: Cell::new(0),
-                recomputes: Cell::new(0),
-                completed: Cell::new(0),
+                state: RefCell::new(State::default()),
             }),
         }
     }
@@ -104,46 +324,65 @@ impl Network {
 
     /// Register a link; returns its id for use in paths.
     pub fn add_link(&self, name: impl Into<String>, model: LinkModel) -> LinkId {
-        let mut links = self.st.links.borrow_mut();
-        links.push(LinkEntry {
+        let mut st = self.st.state.borrow_mut();
+        st.links.push(LinkEntry {
             name: name.into(),
             model,
+            flows: Vec::new(),
+            stamp: 0,
+            dense: 0,
         });
-        LinkId(links.len() - 1)
+        LinkId(st.links.len() - 1)
     }
 
     /// Replace a link's model (e.g. a maintenance event halving a pipe).
-    /// Triggers a rate recompute.
+    /// Re-solves and reschedules every flow (link-model changes may
+    /// affect arbitrary flows).
     pub fn set_link_model(&self, id: LinkId, model: LinkModel) {
-        self.st.links.borrow_mut()[id.0].model = model;
-        self.settle_all();
-        self.recompute();
+        {
+            let now = self.st.sim.now();
+            let mut st = self.st.state.borrow_mut();
+            st.links[id.0].model = model;
+            let State { flows, members, .. } = &mut *st;
+            members.clear();
+            members.extend((0..flows.len()).filter(|&s| flows[s].is_some()));
+            st.sort_and_settle_members(now);
+        }
+        self.reallocate();
+        self.rearm();
     }
 
     /// Number of flows currently crossing `id`.
     pub fn flows_on(&self, id: LinkId) -> usize {
-        self.st
-            .flows
-            .borrow()
-            .values()
-            .filter(|f| f.links.contains(&id.0))
-            .count()
+        self.st.state.borrow().links[id.0].flows.len()
     }
 
     /// Total flows completed so far.
     pub fn flows_completed(&self) -> u64 {
-        self.st.completed.get()
+        self.st.state.borrow().completed
     }
 
     /// Number of rate recomputations so far (cost metric for the ablation
     /// bench).
     pub fn recomputes(&self) -> u64 {
-        self.st.recomputes.get()
+        self.st.state.borrow().recomputes
+    }
+
+    /// Number of connected-component walks so far (one per flow arrival
+    /// or departure).
+    pub fn component_rebuilds(&self) -> u64 {
+        self.st.state.borrow().component_rebuilds
+    }
+
+    /// Flows re-solved and rescheduled so far, summed over every
+    /// recomputation: the size-weighted cost of the rate updates.
+    pub fn members_touched(&self) -> u64 {
+        self.st.state.borrow().members_touched
     }
 
     /// Active flow count.
     pub fn active_flows(&self) -> usize {
-        self.st.flows.borrow().len()
+        self.st.state.borrow().live
     }
 
     /// Move `bytes` across `path` (an ordered set of links), optionally
@@ -162,30 +401,35 @@ impl Network {
                 finished: now,
             };
         }
-        let id = self.st.next_flow.get();
-        self.st.next_flow.set(id + 1);
+        let id = {
+            let mut st = self.st.state.borrow_mut();
+            st.next_flow += 1;
+            st.next_flow - 1
+        };
         let sp = simtrace::span(simtrace::Layer::Net, "net.flow", || format!("flow{id}"));
         if sp.is_recording() {
             sp.attr("bytes", format!("{bytes:.0}"));
         }
         let done = Signal::new();
-        let seed_links: Vec<usize> = path.iter().map(|l| l.0).collect();
-        {
-            self.st.flows.borrow_mut().insert(
+        let live = {
+            let mut st = self.st.state.borrow_mut();
+            st.insert(FlowRt {
                 id,
-                FlowRt {
-                    links: seed_links.clone(),
-                    cap,
-                    remaining: bytes,
-                    rate: 0.0,
-                    last_update: now,
-                    completion: None,
-                    done: done.clone(),
-                },
-            );
-            self.recompute_component(&seed_links);
-        }
-        simtrace::gauge("net.active_flows", self.st.flows.borrow().len() as f64);
+                links: path.iter().map(|l| l.0).collect(),
+                cap,
+                remaining: bytes,
+                rate: 0.0,
+                last_update: now,
+                due: None,
+                stamp: 0,
+                done: done.clone(),
+            });
+            st.component(path.iter().map(|l| l.0), now);
+            st.live
+        };
+        self.reallocate();
+        self.rearm();
+        simtrace::gauge("net.active_flows", live as f64);
         done.wait().await;
         TransferStats {
             bytes,
@@ -194,167 +438,83 @@ impl Network {
         }
     }
 
-    /// Deduct progress made at the current rates up to `now`.
-    fn settle_all(&self) {
-        let now = self.st.sim.now();
-        for f in self.st.flows.borrow_mut().values_mut() {
-            let dt = (now - f.last_update).as_secs_f64();
-            if dt > 0.0 && f.rate > 0.0 {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
-            f.last_update = now;
-        }
-    }
-
-    /// Re-run max-min allocation for every flow (link-model changes may
-    /// affect arbitrary flows).
-    fn recompute(&self) {
-        self.settle_all();
-        let member_ids: Vec<u64> = self.st.flows.borrow().keys().copied().collect();
-        self.reallocate(&member_ids);
-    }
-
-    /// Recompute only the connected component of flows reachable (via
-    /// shared links) from `seed_links`. Max-min allocation decomposes
-    /// exactly across connected components — flows that share no link
-    /// (transitively) with the changed flow keep their rates — so this
-    /// is an exact optimization, not an approximation. It turns the
-    /// background-traffic-heavy Fig 5 scenario from O(all flows²) per
-    /// change into O(component²).
-    fn recompute_component(&self, seed_links: &[usize]) {
-        let member_ids: Vec<u64> = {
-            let flows = self.st.flows.borrow();
-            let mut in_links: std::collections::HashSet<usize> =
-                seed_links.iter().copied().collect();
-            let mut member: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut members_ordered: Vec<u64> = Vec::new();
-            // Fixpoint over the flow-link bipartite graph; scanning the
-            // BTreeMap keeps membership order deterministic.
-            loop {
-                let mut grew = false;
-                for (id, f) in flows.iter() {
-                    if member.contains(id) {
-                        continue;
-                    }
-                    if f.links.iter().any(|l| in_links.contains(l)) {
-                        member.insert(*id);
-                        members_ordered.push(*id);
-                        for &l in &f.links {
-                            in_links.insert(l);
-                        }
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
-                }
-            }
-            members_ordered.sort_unstable();
-            members_ordered
-        };
-        // Settle only the affected flows: everyone else's rate is
-        // unchanged, so their progress stays linear and needs no
-        // checkpoint.
-        {
-            let now = self.st.sim.now();
-            let mut flows = self.st.flows.borrow_mut();
-            for id in &member_ids {
-                if let Some(f) = flows.get_mut(id) {
-                    let dt = (now - f.last_update).as_secs_f64();
-                    if dt > 0.0 && f.rate > 0.0 {
-                        f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                    }
-                    f.last_update = now;
-                }
-            }
-        }
-        self.reallocate(&member_ids);
-    }
-
-    /// Allocate rates for `member_ids` and reschedule their completions.
-    /// Each call is a bandwidth-share update: every affected flow gets a
-    /// fresh max-min rate.
-    fn reallocate(&self, member_ids: &[u64]) {
-        self.st.recomputes.set(self.st.recomputes.get() + 1);
+    /// Re-solve the current `members` (a bandwidth-share update).
+    fn reallocate(&self) {
         simtrace::counter("net.rate_updates", 1);
-        let specs: Vec<FlowSpec> = {
-            let flows = self.st.flows.borrow();
-            member_ids
-                .iter()
-                .filter_map(|id| flows.get(id))
-                .map(|f| FlowSpec {
-                    cap: f.cap,
-                    links: f.links.clone(),
-                })
-                .collect()
-        };
-        // Sparse allocation: only the links these flows cross are
-        // consulted (the network may hold one egress pipe per blob —
-        // tens of thousands of links — while only dozens are busy).
-        let links = self.st.links.borrow();
-        let rates = crate::fluid::max_min_rates_with(&specs, |l| links[l].model);
-        drop(links);
-        let now = self.st.sim.now();
-        let mut flows = self.st.flows.borrow_mut();
-        for (id, rate) in member_ids.iter().zip(rates) {
-            let Some(f) = flows.get_mut(id) else { continue };
-            f.rate = rate;
-            if let Some(ev) = f.completion.take() {
-                ev.cancel();
+        self.st.state.borrow_mut().reallocate(&self.st.sim);
+    }
+
+    /// Point the one armed kernel event at the live head of the due
+    /// heap, moving it only if the head changed.
+    fn rearm(&self) {
+        let mut st = self.st.state.borrow_mut();
+        while let Some(head) = st.due.peek() {
+            if is_live(&st.flows, head) {
+                break;
             }
-            if rate > 0.0 {
-                let eta = SimDuration::from_secs_f64(f.remaining / rate);
-                let fire_at = now + eta;
-                let net = self.clone();
-                let fid = *id;
-                f.completion = Some(self.st.sim.schedule_at(fire_at, move |_| {
-                    net.on_completion(fid);
-                }));
-            }
-            // rate == 0: flow is stalled; it will be rescheduled when
-            // capacity appears (a future recompute).
+            st.due.pop();
+        }
+        let head = st.due.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        if head == st.armed.as_ref().map(|&(at, seq, _)| (at, seq)) {
+            return;
+        }
+        if let Some((_, _, ev)) = st.armed.take() {
+            ev.cancel();
+        }
+        if let Some((at, seq)) = head {
+            let net = self.clone();
+            let ev = self.st.sim.schedule_at_seq(at, seq, move |_| net.on_due());
+            st.armed = Some((at, seq, ev));
         }
     }
 
-    fn on_completion(&self, id: u64) {
-        // Settle just this flow to check whether it truly drained; its
-        // component gets settled inside recompute_component below.
-        {
-            let now = self.st.sim.now();
-            let mut flows = self.st.flows.borrow_mut();
-            if let Some(f) = flows.get_mut(&id) {
-                let dt = (now - f.last_update).as_secs_f64();
-                if dt > 0.0 && f.rate > 0.0 {
-                    f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                }
-                f.last_update = now;
-            }
-        }
+    /// The armed event fired: complete (or re-time) the head flow.
+    fn on_due(&self) {
+        let slot = {
+            let mut st = self.st.state.borrow_mut();
+            let (at, seq, _) = st.armed.take().expect("fired while armed");
+            let Reverse((_, _, slot)) = st.due.pop().expect("armed head is queued");
+            debug_assert_eq!(st.flows[slot].as_ref().and_then(|f| f.due), Some((at, seq)));
+            st.flow(slot).due = None;
+            slot
+        };
+        self.on_completion(slot);
+        self.rearm();
+    }
+
+    fn on_completion(&self, slot: usize) {
         let finished = {
-            let mut flows = self.st.flows.borrow_mut();
-            match flows.get_mut(&id) {
-                Some(f) if f.remaining <= DONE_EPS => flows.remove(&id),
-                Some(f) => {
-                    // Float drift left a sliver: reschedule from here.
-                    let remaining = f.remaining;
-                    let rate = f.rate;
-                    if rate > 0.0 {
-                        let eta = SimDuration::from_secs_f64(remaining / rate)
-                            + SimDuration::from_nanos(1);
-                        let net = self.clone();
-                        f.completion =
-                            Some(self.st.sim.schedule_in(eta, move |_| net.on_completion(id)));
-                    }
-                    None
+            let now = self.st.sim.now();
+            let mut st = self.st.state.borrow_mut();
+            let f = st.flow(slot);
+            // Settle just this flow to check whether it truly drained; its
+            // component gets settled by the walk below.
+            f.settle(now);
+            if f.remaining <= DONE_EPS {
+                let f = st.remove(slot);
+                st.completed += 1;
+                Some((f, st.live))
+            } else {
+                // Float drift left a sliver: reschedule from here.
+                if f.rate > 0.0 {
+                    let eta = SimDuration::from_secs_f64(f.remaining / f.rate)
+                        + SimDuration::from_nanos(1);
+                    let fire_at = now + eta;
+                    let seq = self.st.sim.reserve_seq();
+                    f.due = Some((fire_at, seq));
+                    st.due.push(Reverse((fire_at, seq, slot)));
                 }
-                None => None,
+                None
             }
         };
-        if let Some(f) = finished {
-            self.st.completed.set(self.st.completed.get() + 1);
-            simtrace::gauge("net.active_flows", self.st.flows.borrow().len() as f64);
+        if let Some((f, live)) = finished {
+            simtrace::gauge("net.active_flows", live as f64);
             f.done.fire();
-            self.recompute_component(&f.links);
+            self.st
+                .state
+                .borrow_mut()
+                .component(f.links.iter().copied(), self.st.sim.now());
+            self.reallocate();
         }
     }
 }
@@ -362,7 +522,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     fn shared(c: f64) -> LinkModel {
         LinkModel::Shared { capacity: c }
@@ -567,5 +727,72 @@ mod tests {
         sim.run();
         // 500 B at 100 B/s, then 500 B at 50 B/s -> 15 s.
         assert!((h.try_take().unwrap().duration().as_secs_f64() - 15.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn flows_on_tracks_the_link_index() {
+        let sim = Sim::new(1);
+        let net = Network::new(&sim);
+        let a = net.add_link("a", shared(100.0));
+        let b = net.add_link("b", shared(100.0));
+        for path in [vec![a], vec![a, b], vec![b, b]] {
+            let n = net.clone();
+            sim.spawn(async move { n.transfer(&path, 100.0, f64::INFINITY).await });
+        }
+        sim.run_until(SimTime::from_nanos(1));
+        // A path that repeats a link counts once on it.
+        assert_eq!((net.flows_on(a), net.flows_on(b)), (2, 2));
+        sim.run();
+        assert_eq!((net.flows_on(a), net.flows_on(b)), (0, 0));
+        assert_eq!(net.active_flows(), 0);
+    }
+
+    #[test]
+    fn reschedule_storm_leaves_fewer_tombstones_than_events() {
+        // Blob-GET-shaped churn: ~100 clients share a degrading egress
+        // and a per-flow front end, each behind its own ingress pipe,
+        // and keep re-downloading 2 MB blobs. Every arrival and
+        // departure re-solves the whole ~100-flow component.
+        let sim = Sim::new(5);
+        let net = Network::new(&sim);
+        let egress = net.add_link(
+            "egress",
+            LinkModel::SharedDegrading {
+                capacity: 400.0e6,
+                knee: 64,
+                gamma: 0.002,
+            },
+        );
+        let frontend = net.add_link(
+            "frontend",
+            LinkModel::PerFlow {
+                base: 13.0e6,
+                beta: 34.0,
+                exponent: 0.8,
+            },
+        );
+        for c in 0..100u64 {
+            let ingress = net.add_link(format!("client{c}"), shared(12.5e6));
+            let (n, s) = (net.clone(), sim.clone());
+            sim.spawn(async move {
+                s.delay(SimDuration::from_micros(c * 370)).await;
+                for round in 0..5u64 {
+                    n.transfer(&[egress, frontend, ingress], 2.0e6, f64::INFINITY)
+                        .await;
+                    s.delay(SimDuration::from_micros(1 + (c * 7 + round * 13) % 50))
+                        .await;
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(net.flows_completed(), 500);
+        assert_eq!(net.component_rebuilds(), 1000);
+        assert!(net.members_touched() > 50 * net.recomputes());
+        assert!(
+            sim.tombstoned_pops() <= sim.events_fired(),
+            "{} tombstones for {} fired events",
+            sim.tombstoned_pops(),
+            sim.events_fired()
+        );
     }
 }

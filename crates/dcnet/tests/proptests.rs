@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use dcnet::fluid::{max_min_rates, max_min_rates_with, FlowSpec};
+use dcnet::fluid::{max_min_rates, FlowSpec, MaxMin};
 use dcnet::LinkModel;
 
 /// Strategy: a random set of shared links and flows crossing them.
@@ -89,14 +89,29 @@ proptest! {
         }
     }
 
-    /// The sparse entry point produces identical rates to the dense one.
+    /// The compressed core fed the way `Network` feeds it (only the
+    /// links the flows cross, densely renumbered in order of first
+    /// appearance) produces bit-identical rates to the dense entry point.
     #[test]
     fn sparse_matches_dense((links, flows) in scenario()) {
         let dense = max_min_rates(&links, &flows);
-        let sparse = max_min_rates_with(&flows, |l| links[l]);
+        let mut renumber = vec![usize::MAX; links.len()];
+        let (mut models, mut caps, mut off, mut flat) = (Vec::new(), Vec::new(), vec![0], Vec::new());
+        for f in &flows {
+            caps.push(f.cap);
+            for &l in &f.links {
+                if renumber[l] == usize::MAX {
+                    renumber[l] = models.len();
+                    models.push(links[l]);
+                }
+                flat.push(renumber[l]);
+            }
+            off.push(flat.len());
+        }
+        let sparse = MaxMin::default().solve(&models, &caps, &off, &flat).to_vec();
         prop_assert_eq!(dense.len(), sparse.len());
         for (a, b) in dense.iter().zip(&sparse) {
-            prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
         }
     }
 

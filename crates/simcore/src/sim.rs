@@ -102,6 +102,7 @@ struct SimInner {
     heap: RefCell<BinaryHeap<EventEntry>>,
     exec: Executor,
     events_fired: Cell<u64>,
+    tombstoned_pops: Cell<u64>,
     trace_hash: Cell<u64>,
     base_seed: u64,
     hooks: RefCell<Vec<(u64, KernelHook)>>,
@@ -125,6 +126,7 @@ impl Sim {
                 heap: RefCell::new(BinaryHeap::new()),
                 exec: Executor::new(),
                 events_fired: Cell::new(0),
+                tombstoned_pops: Cell::new(0),
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
                 base_seed: seed,
                 hooks: RefCell::new(Vec::new()),
@@ -195,7 +197,7 @@ impl Sim {
         s
     }
 
-    fn push_event(&self, at: SimTime, action: Action) -> EventHandle {
+    fn push_event(&self, at: SimTime, seq: u64, action: Action) -> EventHandle {
         debug_assert!(
             at >= self.now(),
             "event scheduled in the past: {at:?} < {:?}",
@@ -204,7 +206,7 @@ impl Sim {
         let cancelled = Rc::new(Cell::new(false));
         self.inner.heap.borrow_mut().push(EventEntry {
             at,
-            seq: self.next_seq(),
+            seq,
             cancelled: Rc::clone(&cancelled),
             action,
         });
@@ -213,7 +215,32 @@ impl Sim {
 
     /// Schedule `f` to run at absolute time `at`.
     pub fn schedule_at(&self, at: SimTime, f: impl FnOnce(&Sim) + 'static) -> EventHandle {
-        self.push_event(at, Action::Call(Box::new(f)))
+        self.push_event(at, self.next_seq(), Action::Call(Box::new(f)))
+    }
+
+    /// Consume the next sequence number without scheduling anything.
+    ///
+    /// Together with [`schedule_at_seq`](Self::schedule_at_seq) this lets
+    /// a subsystem keep its own timer queue yet fire each timer exactly
+    /// where a [`schedule_at`](Self::schedule_at) issued at reservation
+    /// time would have: same `(time, seq)` slot in the total order, same
+    /// fingerprint contribution.
+    pub fn reserve_seq(&self) -> u64 {
+        self.next_seq()
+    }
+
+    /// Schedule `f` at `at` under a sequence number previously obtained
+    /// from [`reserve_seq`](Self::reserve_seq). Consumes no new sequence
+    /// number. A seq may be armed again after its earlier event was
+    /// cancelled; it must not be live twice.
+    pub fn schedule_at_seq(
+        &self,
+        at: SimTime,
+        seq: u64,
+        f: impl FnOnce(&Sim) + 'static,
+    ) -> EventHandle {
+        debug_assert!(seq < self.inner.seq.get(), "seq {seq} was never reserved");
+        self.push_event(at, seq, Action::Call(Box::new(f)))
     }
 
     /// Schedule `f` to run after `d` has elapsed.
@@ -263,7 +290,7 @@ impl Sim {
     /// Wake `waker` at absolute time `at`; returns a cancellation handle.
     /// Building block for cancellable waits (network transfer rescheduling).
     pub fn wake_at(&self, at: SimTime, waker: Waker) -> EventHandle {
-        self.push_event(at, Action::Wake(waker))
+        self.push_event(at, self.next_seq(), Action::Wake(waker))
     }
 
     fn fire_next(&self) -> bool {
@@ -273,6 +300,9 @@ impl Sim {
                 None => return false,
             };
             if entry.cancelled.get() {
+                self.inner
+                    .tombstoned_pops
+                    .set(self.inner.tombstoned_pops.get() + 1);
                 continue;
             }
             debug_assert!(entry.at >= self.now());
@@ -340,6 +370,12 @@ impl Sim {
     /// Number of events fired so far (simulation statistic).
     pub fn events_fired(&self) -> u64 {
         self.inner.events_fired.get()
+    }
+
+    /// Cancelled events popped and skipped so far: the heap work spent on
+    /// events that never fired (simulation cost statistic).
+    pub fn tombstoned_pops(&self) -> u64 {
+        self.inner.tombstoned_pops.get()
     }
 
     /// Total processes ever spawned.
@@ -575,5 +611,32 @@ mod tests {
         assert_eq!(sim.live_tasks(), 0);
         assert_eq!(sim.tasks_spawned(), 1);
         assert!(sim.events_fired() >= 1);
+    }
+
+    #[test]
+    fn tombstones_are_counted_not_fired() {
+        let sim = Sim::new(1);
+        let a = sim.schedule_in(D::from_secs(1), |_| {});
+        sim.schedule_in(D::from_secs(2), |_| {});
+        a.cancel();
+        sim.run();
+        assert_eq!(sim.events_fired(), 1);
+        assert_eq!(sim.tombstoned_pops(), 1);
+    }
+
+    #[test]
+    fn reserved_seq_fires_in_its_reserved_slot() {
+        // The reserved event is armed last but holds the earliest seq,
+        // so it fires first among the three equal-time events.
+        let sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let t = SimTime::from_nanos(10);
+        let seq = sim.reserve_seq();
+        let (a, b, c) = (log.clone(), log.clone(), log.clone());
+        sim.schedule_at(t, move |_| a.borrow_mut().push("plain-1"));
+        sim.schedule_at(t, move |_| b.borrow_mut().push("plain-2"));
+        sim.schedule_at_seq(t, seq, move |_| c.borrow_mut().push("reserved"));
+        sim.run();
+        assert_eq!(*log.borrow(), vec!["reserved", "plain-1", "plain-2"]);
     }
 }
