@@ -374,7 +374,7 @@ pub fn run_elastic(sim: &Sim, cfg: &ElasticConfig) -> ElasticResult {
         deadline_s,
     };
     let s = sim.clone();
-    let run = simload::drive(sim, &instants, window, move |i, t| {
+    let run = simload::drive(sim, instants, window, move |i, t| {
         let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
         async move {

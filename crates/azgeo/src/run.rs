@@ -157,7 +157,7 @@ pub fn run_geo(sim: &Sim, base: StampConfig, cfg: &GeoConfig) -> GeoResult {
     };
     let (workload, deadline_s) = (cfg.workload, cfg.deadline_s);
     let s = sim.clone();
-    let run = simload::drive(sim, &instants, window, move |i, t| {
+    let run = simload::drive(sim, instants, window, move |i, t| {
         let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
         let account = accounts_of[i];

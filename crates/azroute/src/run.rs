@@ -250,7 +250,7 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     let (s, rto_good_op) = (sim.clone(), Rc::clone(&rto_good));
     let reader_clients = clients.clone();
     let reader_accounts = accounts_of_vm.clone();
-    let run = simload::drive(sim, &instants, window, move |i, t| {
+    let run = simload::drive(sim, instants, window, move |i, t| {
         let s = s.clone();
         let client = Rc::clone(&reader_clients[i % reader_clients.len()]);
         let account = reader_accounts[i % reader_clients.len()];
@@ -288,16 +288,13 @@ pub fn run_consistency(sim: &Sim, base: StampConfig, cfg: &RouteConfig) -> Route
     if cfg.write_ops_s > 0.0 {
         let mut wrng = sim.rng("route.writes");
         let writes = ArrivalProcess::Poisson.instants(&mut wrng, cfg.write_ops_s, horizon);
-        for (k, &t) in writes.iter().enumerate() {
-            let s = sim.clone();
+        simload::spawn_at_instants(sim, 0.0, writes, move |k, _| {
             let client = Rc::clone(&clients[k % clients.len()]);
             let account = accounts_of_vm[k % clients.len()];
-            sim.spawn(async move {
-                let sched = SimTime::ZERO + SimDuration::from_secs_f64(t);
-                s.sleep_until(sched).await;
+            async move {
                 let _ = client.write(account, 512.0, k).await;
-            });
-        }
+            }
+        });
     }
 
     spawn_shipper(&set, horizon);

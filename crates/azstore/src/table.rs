@@ -45,6 +45,9 @@ pub enum PropValue {
     Bool(bool),
     /// String property; the byte length is what costs storage/transfer.
     Str(String),
+    /// Opaque padding of this many bytes: only its size exists, like a
+    /// blob payload (bulk filler whose content nothing reads).
+    Padding(usize),
 }
 
 impl PropValue {
@@ -55,6 +58,7 @@ impl PropValue {
             PropValue::I64(_) | PropValue::F64(_) => 8.0,
             PropValue::Bool(_) => 1.0,
             PropValue::Str(s) => s.len() as f64,
+            PropValue::Padding(n) => *n as f64,
         }
     }
 }
@@ -94,10 +98,7 @@ impl Entity {
             .with("a", PropValue::I32(1))
             .with("b", PropValue::I32(2))
             .with("name", PropValue::Str("entity".into()))
-            .with(
-                "payload",
-                PropValue::Str("x".repeat(pad.saturating_sub(30))),
-            )
+            .with("payload", PropValue::Padding(pad.saturating_sub(30)))
     }
 
     /// Look up a property by name.
@@ -697,6 +698,22 @@ mod tests {
         assert!((3.8..4.2).contains(&kb), "kb={kb}");
         assert!(e.get("a").is_some());
         assert!(e.get("missing").is_none());
+    }
+
+    #[test]
+    fn size_only_padding_costs_what_its_string_did() {
+        for kb in [0, 1, 4, 64] {
+            let e = Entity::benchmark("part", "row1", kb);
+            let Some(PropValue::Padding(n)) = e.get("payload") else {
+                panic!("benchmark payload is size-only padding");
+            };
+            let spelled = Entity::new("part", "row1")
+                .with("a", PropValue::I32(1))
+                .with("b", PropValue::I32(2))
+                .with("name", PropValue::Str("entity".into()))
+                .with("payload", PropValue::Str("x".repeat(*n)));
+            assert_eq!(e.size().to_bits(), spelled.size().to_bits(), "{kb} kB");
+        }
     }
 
     #[test]

@@ -181,8 +181,23 @@ mod tests {
             },
         );
         let h = spawn_manager(&sys);
+        let stats = run_to_manager_end(&sim, &sys, &h);
+        (sys, stats)
+    }
+
+    /// Run until the manager has finished. It ends at its first request
+    /// gap reaching past the campaign end, which can lie more than a day
+    /// beyond it (the mean gap is half a day).
+    fn run_to_manager_end(
+        sim: &Sim,
+        sys: &ModisSystem,
+        h: &simcore::JoinHandle<ManagerStats>,
+    ) -> ManagerStats {
         sim.run_until(sys.campaign_end() + SimDuration::from_days(1));
-        (Rc::clone(&sys), h.try_take().expect("manager finished"))
+        while !h.is_finished() {
+            sim.run_for(SimDuration::from_days(1));
+        }
+        h.try_take().expect("manager finished")
     }
 
     #[test]
@@ -224,8 +239,7 @@ mod tests {
             },
         );
         let h = spawn_manager(&sys);
-        sim.run_until(sys.campaign_end() + SimDuration::from_days(1));
-        let stats = h.try_take().unwrap();
+        let stats = run_to_manager_end(&sim, &sys, &h);
         assert!(
             stats.downloads_reused > 0,
             "no reuse despite overlapping requests"

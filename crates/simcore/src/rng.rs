@@ -18,12 +18,33 @@
 /// FNV-1a over the label bytes: cheap, stable, good enough for stream
 /// separation (streams are further mixed through SplitMix64).
 fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, label.as_bytes())
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over `prefix` followed by the decimal digits of `index`: the
+/// hash of `format!("{prefix}{index}")`, without building the string.
+fn fnv1a_indexed(prefix: &str, index: u64) -> u64 {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = index;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    fnv1a_extend(fnv1a(prefix), &digits[at..])
 }
 
 /// SplitMix64 finalizer: turns correlated inputs into well-mixed seeds.
@@ -89,7 +110,18 @@ pub struct SimRng {
 impl SimRng {
     /// Derive the stream for `label` under base seed `seed`.
     pub fn for_stream(seed: u64, label: &str) -> Self {
-        let derived = splitmix64(seed ^ splitmix64(fnv1a(label)));
+        Self::from_label_hash(seed, fnv1a(label))
+    }
+
+    /// The stream [`for_stream`](Self::for_stream) derives for the label
+    /// `format!("{prefix}{index}")`, bit for bit, without allocating the
+    /// label (per-arrival streams on a hot path).
+    pub fn for_indexed_stream(seed: u64, prefix: &str, index: u64) -> Self {
+        Self::from_label_hash(seed, fnv1a_indexed(prefix, index))
+    }
+
+    fn from_label_hash(seed: u64, label_hash: u64) -> Self {
+        let derived = splitmix64(seed ^ splitmix64(label_hash));
         SimRng {
             rng: Xoshiro256PlusPlus::seed_from_u64(derived),
         }

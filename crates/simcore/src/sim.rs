@@ -103,6 +103,8 @@ struct SimInner {
     exec: Executor,
     events_fired: Cell<u64>,
     tombstoned_pops: Cell<u64>,
+    pushes: Cell<u64>,
+    peak_heap_depth: Cell<usize>,
     trace_hash: Cell<u64>,
     base_seed: u64,
     hooks: RefCell<Vec<(u64, KernelHook)>>,
@@ -127,6 +129,8 @@ impl Sim {
                 exec: Executor::new(),
                 events_fired: Cell::new(0),
                 tombstoned_pops: Cell::new(0),
+                pushes: Cell::new(0),
+                peak_heap_depth: Cell::new(0),
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
                 base_seed: seed,
                 hooks: RefCell::new(Vec::new()),
@@ -191,6 +195,12 @@ impl Sim {
         crate::rng::SimRng::for_stream(self.inner.base_seed, label)
     }
 
+    /// The stream [`rng`](Self::rng) derives for the label
+    /// `format!("{prefix}{index}")`, without allocating the label.
+    pub fn rng_indexed(&self, prefix: &str, index: u64) -> crate::rng::SimRng {
+        crate::rng::SimRng::for_indexed_stream(self.inner.base_seed, prefix, index)
+    }
+
     fn next_seq(&self) -> u64 {
         let s = self.inner.seq.get();
         self.inner.seq.set(s + 1);
@@ -204,12 +214,18 @@ impl Sim {
             self.now()
         );
         let cancelled = Rc::new(Cell::new(false));
-        self.inner.heap.borrow_mut().push(EventEntry {
+        let mut heap = self.inner.heap.borrow_mut();
+        heap.push(EventEntry {
             at,
             seq,
             cancelled: Rc::clone(&cancelled),
             action,
         });
+        let inner = &self.inner;
+        inner.pushes.set(inner.pushes.get() + 1);
+        inner
+            .peak_heap_depth
+            .set(inner.peak_heap_depth.get().max(heap.len()));
         EventHandle { cancelled }
     }
 
@@ -227,6 +243,15 @@ impl Sim {
     /// fingerprint contribution.
     pub fn reserve_seq(&self) -> u64 {
         self.next_seq()
+    }
+
+    /// Consume `n` consecutive sequence numbers and return the first:
+    /// the block `first..first + n` that `n` back-to-back
+    /// [`reserve_seq`](Self::reserve_seq) calls would have returned.
+    pub fn reserve_seqs(&self, n: u64) -> u64 {
+        let first = self.inner.seq.get();
+        self.inner.seq.set(first + n);
+        first
     }
 
     /// Schedule `f` at `at` under a sequence number previously obtained
@@ -293,6 +318,32 @@ impl Sim {
         self.push_event(at, self.next_seq(), Action::Wake(waker))
     }
 
+    /// Wake `waker` at `at` under a sequence number previously obtained
+    /// from [`reserve_seq`](Self::reserve_seq) or
+    /// [`reserve_seqs`](Self::reserve_seqs): the [`wake_at`](Self::wake_at)
+    /// twin of [`schedule_at_seq`](Self::schedule_at_seq), with the same
+    /// rules. Consumes no new sequence number.
+    pub fn wake_at_seq(&self, at: SimTime, seq: u64, waker: Waker) -> EventHandle {
+        debug_assert!(seq < self.inner.seq.get(), "seq {seq} was never reserved");
+        self.push_event(at, seq, Action::Wake(waker))
+    }
+
+    /// Pop cancelled entries off the heap head (counting each as a
+    /// tombstoned pop) and return the instant of the first live event.
+    fn next_live_at(&self) -> Option<SimTime> {
+        let mut heap = self.inner.heap.borrow_mut();
+        loop {
+            let head = heap.peek()?;
+            if !head.cancelled.get() {
+                return Some(head.at);
+            }
+            heap.pop();
+            self.inner
+                .tombstoned_pops
+                .set(self.inner.tombstoned_pops.get() + 1);
+        }
+    }
+
     fn fire_next(&self) -> bool {
         loop {
             let entry = match self.inner.heap.borrow_mut().pop() {
@@ -347,9 +398,11 @@ impl Sim {
     pub fn run_until(&self, until: SimTime) {
         loop {
             self.inner.exec.drain_ready();
-            let next_at = match self.inner.heap.borrow().peek() {
-                Some(e) => e.at,
-                None => break,
+            // Tombstones must not stand in for the head: a cancelled
+            // entry at or before `until` would otherwise let `fire_next`
+            // skip it and fire a live event past `until`.
+            let Some(next_at) = self.next_live_at() else {
+                break;
             };
             if next_at > until {
                 break;
@@ -386,6 +439,18 @@ impl Sim {
     /// Processes that have not finished yet.
     pub fn live_tasks(&self) -> usize {
         self.inner.exec.live_tasks()
+    }
+
+    /// Events ever pushed onto the heap, fired or cancelled (simulation
+    /// cost statistic).
+    pub fn pushes(&self) -> u64 {
+        self.inner.pushes.get()
+    }
+
+    /// Most events the heap ever held at once, tombstones included: the
+    /// kernel's share of the simulation's peak memory.
+    pub fn peak_heap_depth(&self) -> usize {
+        self.inner.peak_heap_depth.get()
     }
 
     /// Order-sensitive fingerprint of every event fired so far. Equal
@@ -577,6 +642,66 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_nanos(50));
         sim.run_until(SimTime::from_nanos(100));
         assert_eq!(fired.get(), 1);
+    }
+
+    #[test]
+    fn run_until_does_not_fire_past_bound_behind_a_tombstone() {
+        // A cancelled entry at 40 heads the heap; the live event at 100
+        // lies past the bound and must not fire.
+        let sim = Sim::new(1);
+        let fired = Rc::new(Cell::new(false));
+        let f = fired.clone();
+        let early = sim.schedule_at(SimTime::from_nanos(40), |_| {});
+        sim.schedule_at(SimTime::from_nanos(100), move |_| f.set(true));
+        early.cancel();
+        sim.run_until(SimTime::from_nanos(50));
+        assert!(!fired.get(), "event past `until` fired");
+        assert_eq!(sim.now(), SimTime::from_nanos(50));
+        assert_eq!((sim.events_fired(), sim.tombstoned_pops()), (0, 1));
+        sim.run_until(SimTime::from_nanos(100));
+        assert!(fired.get());
+    }
+
+    #[test]
+    fn push_and_heap_depth_counters() {
+        let sim = Sim::new(1);
+        let a = sim.schedule_in(D::from_secs(1), |_| {});
+        sim.schedule_in(D::from_secs(2), |_| {});
+        a.cancel();
+        sim.run();
+        sim.schedule_in(D::from_secs(1), |_| {});
+        sim.run();
+        assert_eq!(sim.pushes(), 3);
+        assert_eq!(sim.peak_heap_depth(), 2);
+    }
+
+    #[test]
+    fn reserved_seq_block_wakes_fire_in_their_slots() {
+        // Two wakes armed after a plain event at the same instant, under
+        // a block reserved before it, fire first and in block order.
+        let sim = Sim::new(1);
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let t = SimTime::from_nanos(10);
+        let base = sim.reserve_seqs(2);
+        assert_eq!(sim.reserve_seq(), base + 2, "the block is consumed");
+        let l = log.clone();
+        sim.schedule_at(t, move |_| l.borrow_mut().push("plain"));
+        for (k, name) in [(1, "second"), (0, "first")] {
+            let (s, l) = (sim.clone(), log.clone());
+            let mut armed = false;
+            sim.spawn(std::future::poll_fn(move |cx| {
+                if armed {
+                    l.borrow_mut().push(name);
+                    return Poll::Ready(());
+                }
+                armed = true;
+                s.wake_at_seq(t, base + k, cx.waker().clone());
+                Poll::Pending
+            }));
+        }
+        sim.run();
+        assert_eq!(*log.borrow(), vec!["first", "second", "plain"]);
+        assert_eq!(sim.events_fired(), 3);
     }
 
     #[test]

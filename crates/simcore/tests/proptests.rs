@@ -205,3 +205,28 @@ proptest! {
         prop_assert_eq!(&*got.borrow(), &(0..msgs).collect::<Vec<_>>());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An indexed stream is the stream of its formatted label, bit for
+    /// bit, across small and full-width indices.
+    #[test]
+    fn indexed_stream_matches_formatted_label(
+        seed in 0u64..=u64::MAX,
+        prefix in "[a-z]{0,8}",
+        index in prop_oneof![0u64..1000, 0u64..=u64::MAX],
+    ) {
+        let label = format!("{prefix}.{index}");
+        let mut formatted = SimRng::for_stream(seed, &label);
+        let mut indexed = SimRng::for_indexed_stream(seed, &format!("{prefix}."), index);
+        for _ in 0..4 {
+            prop_assert_eq!(formatted.f64().to_bits(), indexed.f64().to_bits(), "label {}", label);
+        }
+        let sim = Sim::new(seed);
+        prop_assert_eq!(
+            sim.rng(&label).f64().to_bits(),
+            sim.rng_indexed(&format!("{prefix}."), index).f64().to_bits()
+        );
+    }
+}

@@ -207,7 +207,7 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
     let (shed_retry, workload, deadline_s) = (cfg.shed_retry, cfg.workload, cfg.deadline_s);
     let retries = Rc::clone(&retries_total);
     let s = sim.clone();
-    let run = drive(sim, &instants, window, move |i, t| {
+    let run = drive(sim, instants, window, move |i, t| {
         let s = s.clone();
         let client = Rc::clone(&clients[i % clients.len()]);
         let budget = budgets.as_ref().map(|b| Rc::clone(&b[i % clients.len()]));
@@ -224,7 +224,7 @@ pub fn run_open_loop(sim: &Sim, stamp_cfg: StampConfig, cfg: &LoadConfig) -> Loa
             let deadline_abs_s = t + deadline_s;
             let res: Result<(), (StorageError, GiveUp)> = match (shed_retry, budget) {
                 (Some(sr), Some(budget)) => {
-                    let rng = RefCell::new(s.rng(&format!("load.retry.{i}")));
+                    let rng = RefCell::new(s.rng_indexed("load.retry.", i as u64));
                     let policy = RetryPolicy {
                         backoff: sr.backoff,
                         retries: sr.retries,

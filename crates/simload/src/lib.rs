@@ -12,8 +12,10 @@
 //!   replay) drawn from a dedicated `simcore` RNG stream, so the event
 //!   stream is byte-reproducible and shard-invariant;
 //! * [`drive`] — the one open-loop driver: one task per scheduled
-//!   arrival, latency charged from the scheduled instant, window
-//!   throughput and SLO accounting, shared by every open-loop cell;
+//!   arrival, spawned at its instant by a lazy cursor
+//!   ([`spawn_at_instants`]), latency charged from the scheduled
+//!   instant, window throughput and SLO accounting, shared by every
+//!   open-loop cell;
 //! * [`run_open_loop`] — a client fleet that fires blob/table/queue
 //!   operations against `azstore` at the scheduled instants and
 //!   charges latency from those instants;
@@ -27,12 +29,14 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
+mod cursor;
 mod drive;
 pub mod fleet;
 pub mod observe;
 pub mod slo;
 
 pub use arrival::ArrivalProcess;
+pub use cursor::spawn_at_instants;
 pub use drive::{drive, latency_since, Drive, LoadObserver, Measured, OpResult, Window};
 pub use fleet::{
     fire, run_open_loop, seed_workload, LoadCellResult, LoadConfig, ShedRetry, Workload,
