@@ -789,9 +789,9 @@ mod tests {
         assert_eq!(net.component_rebuilds(), 1000);
         assert!(net.members_touched() > 50 * net.recomputes());
         assert!(
-            sim.tombstoned_pops() <= sim.events_fired(),
-            "{} tombstones for {} fired events",
-            sim.tombstoned_pops(),
+            sim.cancelled_events() <= sim.events_fired(),
+            "{} cancelled for {} fired events",
+            sim.cancelled_events(),
             sim.events_fired()
         );
     }

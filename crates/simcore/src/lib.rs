@@ -9,7 +9,8 @@
 //!
 //! ## Layout
 //! * [`time`] — `SimTime` / `SimDuration` (u64 nanoseconds)
-//! * [`sim`] — the engine: event heap, clock, spawning, cancellable events
+//! * [`sim`] — the engine: clock, spawning, cancellable events
+//! * [`queue`] — the event queue: indexed min-heap with eager removal
 //! * [`sync`] — FIFO semaphore, one-shot signal, unbounded MPMC channel
 //! * [`combinators`] — `select2`, `join_all`, `timeout`
 //! * [`rng`] — per-component deterministic RNG streams
@@ -41,6 +42,7 @@
 pub mod combinators;
 pub mod dist;
 mod executor;
+pub mod queue;
 pub mod report;
 pub mod rng;
 pub mod sim;

@@ -7,14 +7,13 @@
 //! (and the reproduction experiments) rely on.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::Executor;
+use crate::queue::{EventQueue, Ticket};
 use crate::time::{SimDuration, SimTime};
 
 /// What a fired event does.
@@ -25,51 +24,41 @@ enum Action {
     Call(Box<dyn FnOnce(&Sim)>),
 }
 
-struct EventEntry {
-    at: SimTime,
-    seq: u64,
-    cancelled: Rc<Cell<bool>>,
-    action: Action,
-}
-
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for EventEntry {}
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventEntry {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-    // first. seq breaks ties FIFO, which makes runs reproducible.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Handle to a scheduled event that allows cancelling it before it fires.
 ///
-/// Cancellation is lazy: the heap entry stays in place and is skipped when
-/// popped. This is how in-flight network transfers get rescheduled when
-/// fair-share rates change.
+/// Cancellation is eager: [`cancel`](Self::cancel) takes the event out of
+/// the queue at once, in O(log n), and drops its action. This is how
+/// abandoned timeouts and in-flight network transfers whose fair-share
+/// rates change give their events back. The handle is a weak reference to
+/// the simulation plus a generation-checked queue slot, so cancelling
+/// twice, after the event fired, or after the simulation is gone is a
+/// no-op.
 #[derive(Clone)]
 pub struct EventHandle {
-    cancelled: Rc<Cell<bool>>,
+    sim: Weak<SimInner>,
+    ticket: Ticket,
 }
 
 impl EventHandle {
     /// Cancel the event. Idempotent; harmless after the event fired.
     pub fn cancel(&self) {
-        self.cancelled.set(true);
+        let Some(inner) = self.sim.upgrade() else {
+            return;
+        };
+        let removed = inner.queue.borrow_mut().remove(self.ticket);
+        if removed.is_some() {
+            inner.cancelled_events.set(inner.cancelled_events.get() + 1);
+        }
+        // Dropped only now, with the queue released: a dropped closure
+        // or waker may own another handle and cancel through it.
+        drop(removed);
     }
 
-    /// True once [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
+    /// True while the event is queued: neither fired nor cancelled.
+    pub fn is_live(&self) -> bool {
+        self.sim
+            .upgrade()
+            .is_some_and(|inner| inner.queue.borrow().is_live(self.ticket))
     }
 }
 
@@ -99,10 +88,10 @@ pub struct KernelHookId(u64);
 struct SimInner {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    heap: RefCell<BinaryHeap<EventEntry>>,
+    queue: RefCell<EventQueue<Action>>,
     exec: Executor,
     events_fired: Cell<u64>,
-    tombstoned_pops: Cell<u64>,
+    cancelled_events: Cell<u64>,
     pushes: Cell<u64>,
     peak_heap_depth: Cell<usize>,
     trace_hash: Cell<u64>,
@@ -125,10 +114,10 @@ impl Sim {
             inner: Rc::new(SimInner {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
-                heap: RefCell::new(BinaryHeap::new()),
+                queue: RefCell::new(EventQueue::new()),
                 exec: Executor::new(),
                 events_fired: Cell::new(0),
-                tombstoned_pops: Cell::new(0),
+                cancelled_events: Cell::new(0),
                 pushes: Cell::new(0),
                 peak_heap_depth: Cell::new(0),
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
@@ -213,20 +202,17 @@ impl Sim {
             "event scheduled in the past: {at:?} < {:?}",
             self.now()
         );
-        let cancelled = Rc::new(Cell::new(false));
-        let mut heap = self.inner.heap.borrow_mut();
-        heap.push(EventEntry {
-            at,
-            seq,
-            cancelled: Rc::clone(&cancelled),
-            action,
-        });
         let inner = &self.inner;
+        let mut queue = inner.queue.borrow_mut();
+        let ticket = queue.push(at, seq, action);
         inner.pushes.set(inner.pushes.get() + 1);
         inner
             .peak_heap_depth
-            .set(inner.peak_heap_depth.get().max(heap.len()));
-        EventHandle { cancelled }
+            .set(inner.peak_heap_depth.get().max(queue.len()));
+        EventHandle {
+            sim: Rc::downgrade(inner),
+            ticket,
+        }
     }
 
     /// Schedule `f` to run at absolute time `at`.
@@ -328,59 +314,35 @@ impl Sim {
         self.push_event(at, seq, Action::Wake(waker))
     }
 
-    /// Pop cancelled entries off the heap head (counting each as a
-    /// tombstoned pop) and return the instant of the first live event.
-    fn next_live_at(&self) -> Option<SimTime> {
-        let mut heap = self.inner.heap.borrow_mut();
-        loop {
-            let head = heap.peek()?;
-            if !head.cancelled.get() {
-                return Some(head.at);
-            }
-            heap.pop();
-            self.inner
-                .tombstoned_pops
-                .set(self.inner.tombstoned_pops.get() + 1);
-        }
-    }
-
     fn fire_next(&self) -> bool {
-        loop {
-            let entry = match self.inner.heap.borrow_mut().pop() {
-                Some(e) => e,
-                None => return false,
-            };
-            if entry.cancelled.get() {
-                self.inner
-                    .tombstoned_pops
-                    .set(self.inner.tombstoned_pops.get() + 1);
-                continue;
-            }
-            debug_assert!(entry.at >= self.now());
-            self.inner.now.set(entry.at);
-            self.inner
-                .events_fired
-                .set(self.inner.events_fired.get() + 1);
-            // Fold (time, seq) into the trace fingerprint (FNV-1a style);
-            // two runs with the same seed must produce identical hashes.
-            let mut h = self.inner.trace_hash.get();
-            for word in [entry.at.as_nanos(), entry.seq] {
-                h ^= word;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            self.inner.trace_hash.set(h);
-            match entry.action {
-                Action::Wake(w) => {
-                    self.emit_kernel(KernelEvent::WakeFired);
-                    w.wake();
-                }
-                Action::Call(f) => {
-                    self.emit_kernel(KernelEvent::CallFired);
-                    f(self);
-                }
-            }
-            return true;
+        let next = self.inner.queue.borrow_mut().pop();
+        let Some((at, seq, action)) = next else {
+            return false;
+        };
+        debug_assert!(at >= self.now());
+        self.inner.now.set(at);
+        self.inner
+            .events_fired
+            .set(self.inner.events_fired.get() + 1);
+        // Fold (time, seq) into the trace fingerprint (FNV-1a style);
+        // two runs with the same seed must produce identical hashes.
+        let mut h = self.inner.trace_hash.get();
+        for word in [at.as_nanos(), seq] {
+            h ^= word;
+            h = h.wrapping_mul(0x1000_0000_01b3);
         }
+        self.inner.trace_hash.set(h);
+        match action {
+            Action::Wake(w) => {
+                self.emit_kernel(KernelEvent::WakeFired);
+                w.wake();
+            }
+            Action::Call(f) => {
+                self.emit_kernel(KernelEvent::CallFired);
+                f(self);
+            }
+        }
+        true
     }
 
     /// Run until no ready tasks and no pending events remain.
@@ -398,13 +360,8 @@ impl Sim {
     pub fn run_until(&self, until: SimTime) {
         loop {
             self.inner.exec.drain_ready();
-            // Tombstones must not stand in for the head: a cancelled
-            // entry at or before `until` would otherwise let `fire_next`
-            // skip it and fire a live event past `until`.
-            let Some(next_at) = self.next_live_at() else {
-                break;
-            };
-            if next_at > until {
+            let next_at = self.inner.queue.borrow().peek_at();
+            if next_at.is_none_or(|at| at > until) {
                 break;
             }
             self.fire_next();
@@ -425,10 +382,16 @@ impl Sim {
         self.inner.events_fired.get()
     }
 
-    /// Cancelled events popped and skipped so far: the heap work spent on
-    /// events that never fired (simulation cost statistic).
-    pub fn tombstoned_pops(&self) -> u64 {
-        self.inner.tombstoned_pops.get()
+    /// Events cancelled before they fired (simulation cost statistic).
+    /// Every push ends up fired, cancelled or still pending:
+    /// `pushes == events_fired + cancelled_events + pending_events`.
+    pub fn cancelled_events(&self) -> u64 {
+        self.inner.cancelled_events.get()
+    }
+
+    /// Events queued now: pushed, neither fired nor cancelled.
+    pub fn pending_events(&self) -> usize {
+        self.inner.queue.borrow().len()
     }
 
     /// Total processes ever spawned.
@@ -441,14 +404,15 @@ impl Sim {
         self.inner.exec.live_tasks()
     }
 
-    /// Events ever pushed onto the heap, fired or cancelled (simulation
-    /// cost statistic).
+    /// Events ever pushed onto the queue, fired, cancelled or pending
+    /// (simulation cost statistic).
     pub fn pushes(&self) -> u64 {
         self.inner.pushes.get()
     }
 
-    /// Most events the heap ever held at once, tombstones included: the
-    /// kernel's share of the simulation's peak memory.
+    /// Most events the queue ever held at once: the kernel's share of the
+    /// simulation's peak memory. A cancelled event leaves the queue at
+    /// once, so only live events count.
     pub fn peak_heap_depth(&self) -> usize {
         self.inner.peak_heap_depth.get()
     }
@@ -581,8 +545,9 @@ mod tests {
         let h = sim.schedule_in(D::from_secs(1), move |_| l.borrow_mut().push(1));
         let l2 = log.clone();
         sim.schedule_in(D::from_secs(2), move |_| l2.borrow_mut().push(2));
+        assert!(h.is_live());
         h.cancel();
-        assert!(h.is_cancelled());
+        assert!(!h.is_live());
         sim.run();
         assert_eq!(*log.borrow(), vec![2]);
     }
@@ -646,8 +611,8 @@ mod tests {
 
     #[test]
     fn run_until_does_not_fire_past_bound_behind_a_tombstone() {
-        // A cancelled entry at 40 heads the heap; the live event at 100
-        // lies past the bound and must not fire.
+        // The event at 40 is cancelled; the live event at 100 lies past
+        // the bound and must not fire.
         let sim = Sim::new(1);
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
@@ -657,7 +622,7 @@ mod tests {
         sim.run_until(SimTime::from_nanos(50));
         assert!(!fired.get(), "event past `until` fired");
         assert_eq!(sim.now(), SimTime::from_nanos(50));
-        assert_eq!((sim.events_fired(), sim.tombstoned_pops()), (0, 1));
+        assert_eq!((sim.events_fired(), sim.cancelled_events()), (0, 1));
         sim.run_until(SimTime::from_nanos(100));
         assert!(fired.get());
     }
@@ -739,14 +704,107 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_counted_not_fired() {
+    fn pushes_are_fired_cancelled_or_pending() {
+        let sim = Sim::new(1);
+        let balanced = |sim: &Sim| {
+            let accounted =
+                sim.events_fired() + sim.cancelled_events() + sim.pending_events() as u64;
+            assert_eq!(sim.pushes(), accounted);
+        };
+        let a = sim.schedule_in(D::from_secs(1), |_| {});
+        let b = sim.schedule_in(D::from_secs(2), |_| {});
+        sim.schedule_in(D::from_secs(3), |_| {});
+        balanced(&sim);
+        a.cancel();
+        a.cancel();
+        assert_eq!((sim.cancelled_events(), sim.pending_events()), (1, 2));
+        balanced(&sim);
+        sim.run_until(SimTime::ZERO + D::from_secs(2));
+        b.cancel();
+        assert_eq!(sim.events_fired(), 1);
+        assert_eq!(sim.cancelled_events(), 1, "cancel after fire is a no-op");
+        balanced(&sim);
+        sim.run();
+        assert_eq!((sim.events_fired(), sim.pending_events()), (2, 0));
+        balanced(&sim);
+    }
+
+    #[test]
+    fn won_timeouts_leave_no_residue_in_the_queue() {
+        // Each op's 30 s timeout loses its race 1 ms in. Cancelled timers
+        // must leave the queue at once, not sit there for 30 s.
+        const N: u64 = 10_000;
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        sim.spawn(async move {
+            for _ in 0..N {
+                let op = s.clone();
+                s.spawn(async move {
+                    let fast = op.delay(D::from_millis(1));
+                    let r = crate::combinators::timeout(&op, D::from_secs(30), fast).await;
+                    assert!(r.is_ok());
+                });
+                s.delay(D::from_millis(1)).await;
+            }
+        });
+        sim.run();
+        assert!(
+            sim.peak_heap_depth() <= 16,
+            "depth {}",
+            sim.peak_heap_depth()
+        );
+        assert_eq!(sim.cancelled_events(), N);
+    }
+
+    /// Cancels its handle when dropped, like a `Delay`.
+    struct CancelOnDrop(EventHandle);
+
+    impl Drop for CancelOnDrop {
+        fn drop(&mut self) {
+            self.0.cancel();
+        }
+    }
+
+    #[test]
+    fn cancelling_a_closure_that_owns_handles_reenters_safely() {
+        let sim = Sim::new(1);
+        let fired: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        let f = fired.clone();
+        let inner = sim.schedule_in(D::from_secs(2), move |_| f.borrow_mut().push("inner"));
+        let guard = CancelOnDrop(inner.clone());
+        let (s, f) = (sim.clone(), fired.clone());
+        let mut delay = Box::pin(sim.delay(D::from_secs(3)));
+        // Poll the delay once so it holds a queued wake.
+        let waker = std::task::Waker::noop();
+        assert!(delay
+            .as_mut()
+            .poll(&mut Context::from_waker(waker))
+            .is_pending());
+        let outer = sim.schedule_in(D::from_secs(1), move |_| {
+            let _keep = (&guard, &delay, &s);
+            f.borrow_mut().push("outer");
+        });
+        assert_eq!(sim.pending_events(), 3);
+        outer.cancel();
+        assert!(!outer.is_live() && !inner.is_live());
+        assert_eq!((sim.cancelled_events(), sim.pending_events()), (3, 0));
+        sim.run();
+        assert!(fired.borrow().is_empty());
+    }
+
+    #[test]
+    fn dropping_a_sim_with_pending_handle_owners_is_quiet() {
         let sim = Sim::new(1);
         let a = sim.schedule_in(D::from_secs(1), |_| {});
-        sim.schedule_in(D::from_secs(2), |_| {});
+        let b = sim.schedule_in(D::from_secs(2), |_| {});
+        let guard = CancelOnDrop(a.clone());
+        let b2 = b.clone();
+        sim.schedule_in(D::from_secs(3), move |_| {
+            let _keep = (&guard, &b2);
+        });
+        drop(sim);
+        assert!(!a.is_live() && !b.is_live());
         a.cancel();
-        sim.run();
-        assert_eq!(sim.events_fired(), 1);
-        assert_eq!(sim.tombstoned_pops(), 1);
     }
 
     #[test]

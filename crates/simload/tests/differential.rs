@@ -3,7 +3,7 @@
 //! and through the eager one (a sleeping task per arrival, spawned up
 //! front) kept verbatim under `tests/reference/`, each on its own `Sim`.
 //! The two must agree exactly: the fired log, the number of fired
-//! kernel events, the schedule fingerprint, the tombstoned pops, every
+//! kernel events, the schedule fingerprint, the cancelled events, every
 //! measurement bit for bit and what a control-plane task observes
 //! mid-run.
 
@@ -177,7 +177,7 @@ struct Outcome {
     probes: Vec<(u64, [u64; 4])>,
     events_fired: u64,
     fingerprint: u64,
-    tombstoned_pops: u64,
+    cancelled_events: u64,
     /// `scheduled_ops_s`, `achieved_ops_s`, `goodput_ops_s` bits.
     rates: [u64; 3],
     slo: Vec<u64>,
@@ -306,7 +306,7 @@ fn run(sc: &Scenario, driver: Driver) -> Outcome {
         probes,
         events_fired: sim.events_fired(),
         fingerprint: sim.trace_fingerprint(),
-        tombstoned_pops: sim.tombstoned_pops(),
+        cancelled_events: sim.cancelled_events(),
         rates,
         slo,
     }
