@@ -120,9 +120,11 @@ fn background_traffic_section(quick: bool) -> String {
     if !quick {
         cfg.rounds = 16;
     }
-    let with_bg = tcp::run_bandwidth(&cfg);
+    // Serial inside this cell: one datacenter topology at a time, so
+    // the campaign's parallelism stays under `--shards` control.
+    let (with_bg, _) = tcp::run_bandwidth(&cfg, &RunOpts::serial());
     cfg.background = false;
-    let without_bg = tcp::run_bandwidth(&cfg);
+    let (without_bg, _) = tcp::run_bandwidth(&cfg, &RunOpts::serial());
     let mut t = AsciiTable::new(vec!["metric", "with background", "without"])
         .with_title("Ablation 3 — background tenant traffic (Fig 5's contended tail)");
     t.row(vec![

@@ -35,7 +35,7 @@ use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::ArrivalProcess;
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// One cell of the grid.
 #[derive(Clone)]
@@ -348,16 +348,10 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let ramps: Vec<f64> = points.iter().map(|p| p.r.initial_ramp_ratio).collect();
 
     let checks = vec![
-        check(
-            anchors::ELASTIC_PREDICTIVE_DOMINANCE,
-            if dominates { 1.0 } else { 0.0 },
-        ),
-        check(
-            anchors::ELASTIC_REACTIVE_ORDERING,
-            if ordered { 1.0 } else { 0.0 },
-        ),
-        check(anchors::ELASTIC_SCALE_OUT_LEAD_S, mean(&leads)),
-        check(anchors::ELASTIC_INITIAL_RAMP_RATIO, mean(&ramps)),
+        anchors::ELASTIC_PREDICTIVE_DOMINANCE.check(if dominates { 1.0 } else { 0.0 }),
+        anchors::ELASTIC_REACTIVE_ORDERING.check(if ordered { 1.0 } else { 0.0 }),
+        anchors::ELASTIC_SCALE_OUT_LEAD_S.check(mean(&leads)),
+        anchors::ELASTIC_INITIAL_RAMP_RATIO.check(mean(&ramps)),
     ];
 
     let mut block = anchor::render_block(

@@ -2,11 +2,11 @@
 //! concurrency (paper §3.1). One cell per swept client count.
 
 use cloudbench::anchors;
-use cloudbench::experiments::blob::{self, BlobScalingConfig, BlobScalingResult};
+use cloudbench::experiments::blob::{self, BlobScalingConfig};
 use simcore::report::Csv;
-use simlab::{anchor, run_cells, RunOpts};
+use simlab::{anchor, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(quick: bool) -> usize {
@@ -32,10 +32,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         cfg.runs,
         cfg.blob_bytes / 1.0e6
     );
-    let out = run_cells(cfg.client_counts.len(), opts, |i, ctx| {
-        blob::run_point(&cfg, cfg.client_counts[i], ctx)
-    });
-    let result = BlobScalingResult { rows: out.cells };
+    let (result, trace_summary) = blob::run(&cfg, opts);
 
     let mut csv = Csv::new();
     csv.row(&[
@@ -57,38 +54,23 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
 
     let mut checks = Vec::new();
     if let Some(r1) = result.at(1) {
-        checks.push(check(
-            anchors::FIG1_DL_1CLIENT_MBPS,
-            r1.download_per_client_mbps,
-        ));
+        checks.push(anchors::FIG1_DL_1CLIENT_MBPS.check(r1.download_per_client_mbps));
         if let Some(r32) = result.at(32) {
-            checks.push(check(
-                anchors::FIG1_DL_32CLIENT_RATIO,
-                r32.download_per_client_mbps / r1.download_per_client_mbps,
-            ));
+            checks.push(
+                anchors::FIG1_DL_32CLIENT_RATIO
+                    .check(r32.download_per_client_mbps / r1.download_per_client_mbps),
+            );
         }
     }
     if let Some(r128) = result.at(128) {
-        checks.push(check(
-            anchors::FIG1_DL_PEAK_MBPS,
-            r128.download_aggregate_mbps,
-        ));
+        checks.push(anchors::FIG1_DL_PEAK_MBPS.check(r128.download_aggregate_mbps));
     }
     if let Some(r64) = result.at(64) {
-        checks.push(check(
-            anchors::FIG1_UL_64CLIENT_MBPS,
-            r64.upload_per_client_mbps,
-        ));
+        checks.push(anchors::FIG1_UL_64CLIENT_MBPS.check(r64.upload_per_client_mbps));
     }
     if let Some(r192) = result.at(192) {
-        checks.push(check(
-            anchors::FIG1_UL_192CLIENT_MBPS,
-            r192.upload_per_client_mbps,
-        ));
-        checks.push(check(
-            anchors::FIG1_UL_PEAK_MBPS,
-            r192.upload_aggregate_mbps,
-        ));
+        checks.push(anchors::FIG1_UL_192CLIENT_MBPS.check(r192.upload_per_client_mbps));
+        checks.push(anchors::FIG1_UL_PEAK_MBPS.check(r192.upload_aggregate_mbps));
     }
     let block = anchor::render_block("Paper anchors (Fig 1):", &checks);
 
@@ -102,6 +84,6 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             ("fig1.anchors.txt".to_string(), block),
         ],
         anchors: checks,
-        trace_summary: out.trace_summary,
+        trace_summary,
     }
 }

@@ -2,9 +2,9 @@
 //! (paper §3.2), including the 64 kB high-concurrency insert cliff.
 //! One cell per 4 kB sweep point plus one per 64 kB cliff point.
 
-use cloudbench::experiments::table::{self, TableOp, TableScalingConfig, TableScalingResult};
+use cloudbench::experiments::table::{self, TableOp, TableScalingConfig};
 use simcore::report::Csv;
-use simlab::{run_cells, RunOpts};
+use simlab::RunOpts;
 
 use super::CampaignOutput;
 
@@ -35,28 +35,17 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         updates_per_client: 0,
         ..base.clone()
     };
-    let n_main = base.client_counts.len();
     eprintln!(
         "fig2: 4 kB sweep over {:?} clients + 64 kB insert cliff at {:?} ...",
         base.client_counts, cliff_cfg.client_counts
     );
-    let out = run_cells(n_main + CLIFF_COUNTS.len(), opts, |i, ctx| {
-        if i < n_main {
-            table::run_point(&base, base.client_counts[i], ctx)
-        } else {
-            table::run_point(&cliff_cfg, CLIFF_COUNTS[i - n_main], ctx)
-        }
-    });
-    let mut cells = out.cells;
-    let cliff_rows = cells.split_off(n_main);
-    let result = TableScalingResult {
-        entity_kb: base.entity_kb,
-        rows: cells.into_iter().flatten().collect(),
+    let (result, trace_summary) = table::run(&base, opts);
+    // The cliff cells come second and are never the traced cell.
+    let cliff_opts = RunOpts {
+        trace: None,
+        ..opts.clone()
     };
-    let cliff = TableScalingResult {
-        entity_kb: cliff_cfg.entity_kb,
-        rows: cliff_rows.into_iter().flatten().collect(),
-    };
+    let (cliff, _) = table::run(&cliff_cfg, &cliff_opts);
 
     let mut csv = Csv::new();
     csv.row(&[
@@ -106,13 +95,13 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let stdout = format!("{}\n{}", result.render(), summary);
     CampaignOutput {
         name: "fig2",
-        cells: n_main + CLIFF_COUNTS.len(),
+        cells: cell_count(quick),
         stdout,
         files: vec![
             ("fig2.csv".to_string(), csv.as_str().to_string()),
             ("fig2.anchors.txt".to_string(), summary),
         ],
         anchors: Vec::new(),
-        trace_summary: out.trace_summary,
+        trace_summary,
     }
 }

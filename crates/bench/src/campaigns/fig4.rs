@@ -1,19 +1,12 @@
 //! Fig 4 campaign: cumulative TCP latency between two small VMs (paper
-//! §4.2). One cell per VM pair.
-//!
-//! The latency model is a closed-form draw with no `Sim` behind it, so
-//! the cells are transparent to fault plans; when a trace is requested
-//! the traced cell additionally runs a representative NIC-level ping
-//! scenario so the Chrome trace has real `net.flow` spans in it.
+//! §4.2). One cell per VM pair (see [`tcp::run_latency`]).
 
 use cloudbench::anchors;
-use cloudbench::experiments::tcp::{self, TcpLatencyConfig, TcpLatencyResult};
-use dcnet::{LatencyModel, LinkModel, Network};
-use simcore::prelude::SampleSet;
+use cloudbench::experiments::tcp::{self, TcpLatencyConfig};
 use simcore::report::Csv;
-use simlab::{anchor, run_cells, RunOpts};
+use simlab::{anchor, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(quick: bool) -> usize {
@@ -39,38 +32,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         "fig4: {} pairs x {} RTT samples ...",
         cfg.pairs, cfg.samples_per_pair
     );
-    let placements = LatencyModel::default().spread_placements(cfg.pairs);
-    let out = run_cells(cfg.pairs, opts, |i, ctx| {
-        let samples = tcp::latency_pair(&cfg, i, placements[i]);
-        if ctx.is_traced() {
-            // A few 1-byte-scale ping flows across a VM pair's NIC
-            // links (net.flow spans + bandwidth-share counters).
-            ctx.with_sim(cfg.seed, |sim| {
-                let net = Network::new(sim);
-                let tx = net.add_link("vm_a.tx", LinkModel::Shared { capacity: 125.0e6 });
-                let rx = net.add_link("vm_b.rx", LinkModel::Shared { capacity: 125.0e6 });
-                for _ in 0..5 {
-                    let net = net.clone();
-                    sim.spawn(async move {
-                        for _ in 0..4 {
-                            net.transfer(&[tx, rx], 1.0e3, f64::INFINITY).await;
-                        }
-                    });
-                }
-                sim.run();
-            });
-        }
-        samples
-    });
-    let mut samples = SampleSet::with_capacity(cfg.pairs * cfg.samples_per_pair);
-    for cell in &out.cells {
-        for &v in cell {
-            samples.push(v);
-        }
-    }
-    let result = TcpLatencyResult {
-        samples_ms: samples,
-    };
+    let (result, trace_summary) = tcp::run_latency(&cfg, opts);
 
     let mut csv = Csv::new();
     csv.row(&["latency_ms", "cumulative_fraction"]);
@@ -79,8 +41,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     }
 
     let checks = vec![
-        check(anchors::FIG4_LE_1MS, result.fraction_at_most(1.0)),
-        check(anchors::FIG4_LE_2MS, result.fraction_at_most(2.0)),
+        anchors::FIG4_LE_1MS.check(result.fraction_at_most(1.0)),
+        anchors::FIG4_LE_2MS.check(result.fraction_at_most(2.0)),
     ];
     let block = anchor::render_block("Paper anchors (Fig 4):", &checks);
 
@@ -94,6 +56,6 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             ("fig4.anchors.txt".to_string(), block),
         ],
         anchors: checks,
-        trace_summary: out.trace_summary,
+        trace_summary,
     }
 }

@@ -3,12 +3,11 @@
 //! per deployment round.
 
 use cloudbench::anchors;
-use cloudbench::experiments::tcp::{self, TcpBandwidthConfig, TcpBandwidthResult};
-use simcore::prelude::SampleSet;
+use cloudbench::experiments::tcp::{self, TcpBandwidthConfig};
 use simcore::report::Csv;
-use simlab::{anchor, run_cells, RunOpts};
+use simlab::{anchor, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(quick: bool) -> usize {
@@ -34,19 +33,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         cfg.transfers_per_pair,
         cfg.bytes / 1.0e9
     );
-    let out = run_cells(cfg.rounds, opts, |i, ctx| {
-        tcp::bandwidth_round(&cfg, i, ctx)
-    });
-    let mut samples =
-        SampleSet::with_capacity(cfg.rounds * cfg.pairs_per_round * cfg.transfers_per_pair);
-    for cell in &out.cells {
-        for &v in cell {
-            samples.push(v);
-        }
-    }
-    let result = TcpBandwidthResult {
-        samples_mbps: samples,
-    };
+    let (result, trace_summary) = tcp::run_bandwidth(&cfg, opts);
 
     let mut csv = Csv::new();
     csv.row(&["bandwidth_mbps", "cumulative_fraction"]);
@@ -55,8 +42,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     }
 
     let checks = vec![
-        check(anchors::FIG5_GE_90MBPS, result.fraction_at_least(90.0)),
-        check(anchors::FIG5_LE_30MBPS, result.fraction_at_most(30.0)),
+        anchors::FIG5_GE_90MBPS.check(result.fraction_at_least(90.0)),
+        anchors::FIG5_LE_30MBPS.check(result.fraction_at_most(30.0)),
     ];
     let block = anchor::render_block("Paper anchors (Fig 5):", &checks);
 
@@ -70,6 +57,6 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             ("fig5.anchors.txt".to_string(), block),
         ],
         anchors: checks,
-        trace_summary: out.trace_summary,
+        trace_summary,
     }
 }

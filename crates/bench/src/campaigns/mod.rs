@@ -15,7 +15,6 @@
 
 use std::path::Path;
 
-use cloudbench::Anchor;
 use simlab::{AnchorCheck, RunOpts};
 
 pub mod ablations;
@@ -146,17 +145,6 @@ pub fn canonical(target: &str) -> Option<&'static Campaign> {
         t => t,
     };
     CAMPAIGNS.iter().find(|c| c.name == name)
-}
-
-/// Turn a `cloudbench` anchor constant plus a measurement into the
-/// unified check record.
-pub fn check(a: Anchor, measured: f64) -> AnchorCheck {
-    AnchorCheck {
-        name: a.name,
-        paper: a.paper,
-        rel_tol: a.rel_tol,
-        measured,
-    }
 }
 
 /// Print a campaign's stdout, write its files into `dir` (announcing

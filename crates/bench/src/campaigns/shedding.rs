@@ -29,7 +29,7 @@ use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig, ShedRetry, Workload};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// The three gated services.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -476,7 +476,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             Service::Table => anchors::SHEDDING_TABLE_GOODPUT_GAIN,
             Service::Queue => anchors::SHEDDING_QUEUE_GOODPUT_GAIN,
         };
-        checks.push(check(a, gain.min(4.5)));
+        checks.push(a.check(gain.min(4.5)));
     }
 
     let mut block = anchor::render_block(

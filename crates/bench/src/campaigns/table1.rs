@@ -1,16 +1,14 @@
 //! Table 1 campaign: worker/web role VM request times across the five
-//! lifecycle phases (paper §4.1; 431 successful runs). The campaign is
-//! one long sequential simulation, so it stays a single cell — the cell
-//! context still routes `--faults`/`--trace` to whichever thread runs
-//! it.
+//! lifecycle phases (paper §4.1; 431 successful runs). One cell (see
+//! [`vm::run`]).
 
 use cloudbench::anchors;
 use cloudbench::experiments::vm::{self, VmLifecycleConfig};
 use fabric::{Phase, RoleType, VmSize};
 use simcore::report::Csv;
-use simlab::{anchor, run_cells, RunOpts};
+use simlab::{anchor, RunOpts};
 
-use super::{check, CampaignOutput};
+use super::CampaignOutput;
 
 /// Planned cell count for one mode (recorded by `azlab bench`).
 pub fn cell_count(_quick: bool) -> usize {
@@ -28,8 +26,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         "table1: collecting {} successful runs ...",
         cfg.successful_runs
     );
-    let out = run_cells(1, opts, |_i, ctx| vm::run_ctx(&cfg, ctx));
-    let result = &out.cells[0];
+    let (result, trace_summary) = vm::run(&cfg, opts);
 
     let mut csv = Csv::new();
     csv.row(&["role", "size", "phase", "avg_s", "std_s", "n"]);
@@ -57,8 +54,8 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             .mean(RoleType::Worker, VmSize::Small, Phase::Run)
             .unwrap_or(0.0);
     let checks = vec![
-        check(anchors::TAB1_SMALL_WORKER_STARTUP_S, small_worker_startup),
-        check(anchors::TAB1_STARTUP_FAILURE_RATE, result.failure_rate()),
+        anchors::TAB1_SMALL_WORKER_STARTUP_S.check(small_worker_startup),
+        anchors::TAB1_STARTUP_FAILURE_RATE.check(result.failure_rate()),
     ];
     let block = anchor::render_block("Paper anchors (Table 1):", &checks);
 
@@ -79,6 +76,6 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             ("table1.anchors.txt".to_string(), block),
         ],
         anchors: checks,
-        trace_summary: out.trace_summary,
+        trace_summary,
     }
 }

@@ -4,6 +4,8 @@
 //! report paper-vs-measured side by side. Each constant cites its
 //! sentence in the paper.
 
+use simlab::AnchorCheck;
+
 /// An anchor: a named scalar the paper reports, with the tolerance used
 /// when we compare the reproduction against it.
 #[derive(Debug, Clone, Copy)]
@@ -17,21 +19,22 @@ pub struct Anchor {
 }
 
 impl Anchor {
-    /// True if `measured` lies within the anchor's tolerance.
-    pub fn matches(&self, measured: f64) -> bool {
-        if self.paper == 0.0 {
-            return measured.abs() < self.rel_tol;
+    /// The paper-vs-measured check record: the one verdict rule, shared
+    /// by the `*.anchors.txt` reports, the manifest and [`matches`].
+    ///
+    /// [`matches`]: Anchor::matches
+    pub fn check(&self, measured: f64) -> AnchorCheck {
+        AnchorCheck {
+            name: self.name,
+            paper: self.paper,
+            rel_tol: self.rel_tol,
+            measured,
         }
-        ((measured - self.paper) / self.paper).abs() <= self.rel_tol
     }
 
-    /// Relative error of a measurement.
-    pub fn rel_err(&self, measured: f64) -> f64 {
-        if self.paper == 0.0 {
-            measured.abs()
-        } else {
-            (measured - self.paper) / self.paper
-        }
+    /// True if `measured` lies within the anchor's tolerance.
+    pub fn matches(&self, measured: f64) -> bool {
+        self.check(measured).ok()
     }
 }
 
@@ -441,10 +444,12 @@ mod tests {
 
     #[test]
     fn rel_err_signs() {
-        assert!(FIG4_LE_1MS.rel_err(0.45) < 0.0);
-        assert!(FIG4_LE_1MS.rel_err(0.55) > 0.0);
+        assert!(FIG4_LE_1MS.check(0.45).rel_err() < 0.0);
+        assert!(FIG4_LE_1MS.check(0.55).rel_err() > 0.0);
     }
 
+    /// A zero paper value has no relative scale: only an exact zero
+    /// matches (the `AnchorCheck` rule every report line uses).
     #[test]
     fn zero_paper_value_uses_absolute() {
         let a = Anchor {
@@ -452,7 +457,8 @@ mod tests {
             paper: 0.0,
             rel_tol: 0.1,
         };
-        assert!(a.matches(0.05));
+        assert!(a.matches(0.0));
+        assert!(!a.matches(0.05));
         assert!(!a.matches(0.2));
     }
 }

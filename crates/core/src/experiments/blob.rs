@@ -12,9 +12,10 @@ use std::rc::Rc;
 
 use azstore::StorageStamp;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::mean;
+use crate::CLIENT_COUNTS;
 
 /// Configuration for the blob scaling experiment.
 #[derive(Debug, Clone)]
@@ -163,9 +164,8 @@ fn one_upload_run(clients: usize, bytes: f64, seed: u64, ctx: &CellCtx) -> (f64,
     })
 }
 
-/// Run one sweep point (all repeated runs of one client count) — the
-/// per-cell entry the sharded campaign runner drives.
-pub fn run_point(cfg: &BlobScalingConfig, clients: usize, ctx: &CellCtx) -> BlobScalingRow {
+/// One sweep point: all repeated runs of one client count.
+fn run_point(cfg: &BlobScalingConfig, clients: usize, ctx: &CellCtx) -> BlobScalingRow {
     let mut dl_pc = Vec::with_capacity(cfg.runs);
     let mut dl_ag = Vec::with_capacity(cfg.runs);
     let mut ul_pc = Vec::with_capacity(cfg.runs);
@@ -188,12 +188,13 @@ pub fn run_point(cfg: &BlobScalingConfig, clients: usize, ctx: &CellCtx) -> Blob
     }
 }
 
-/// Run the full Fig 1 experiment.
-pub fn run(cfg: &BlobScalingConfig) -> BlobScalingResult {
-    let rows = parallel_sweep(cfg.client_counts.clone(), |clients| {
-        run_point(cfg, clients, &CellCtx::detached())
+/// Run the full Fig 1 experiment, one cell per swept client count.
+/// Returns the result and the traced cell's summary, if any.
+pub fn run(cfg: &BlobScalingConfig, opts: &RunOpts) -> (BlobScalingResult, Option<String>) {
+    let out = run_cells(cfg.client_counts.len(), opts, |i, ctx| {
+        run_point(cfg, cfg.client_counts[i], ctx)
     });
-    BlobScalingResult { rows }
+    (BlobScalingResult { rows: out.cells }, out.trace_summary)
 }
 
 #[cfg(test)]
@@ -201,12 +202,13 @@ mod tests {
     use super::*;
 
     fn full_result() -> BlobScalingResult {
-        run(&BlobScalingConfig {
+        let cfg = BlobScalingConfig {
             blob_bytes: 1.0e9,
             client_counts: vec![1, 32, 64, 128, 192],
             runs: 1,
             seed: 42,
-        })
+        };
+        run(&cfg, &RunOpts::serial()).0
     }
 
     /// The headline Fig 1 anchors, end to end through the simulator.
@@ -277,12 +279,13 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let r = run(&BlobScalingConfig {
+        let cfg = BlobScalingConfig {
             blob_bytes: 10.0e6,
             client_counts: vec![1, 8],
             runs: 1,
             seed: 1,
-        });
+        };
+        let (r, _) = run(&cfg, &RunOpts::serial());
         let s = r.render();
         assert!(s.contains("Fig 1"));
         assert_eq!(s.lines().count(), 1 + 2 + 2); // title + header+sep + 2 rows

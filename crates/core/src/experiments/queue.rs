@@ -12,9 +12,10 @@ use azstore::{StorageAccountClient, StorageError, StorageStamp};
 use simcore::combinators::join_all;
 use simcore::prelude::*;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::mean;
+use crate::CLIENT_COUNTS;
 
 /// The three benchmarked queue operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,9 +156,8 @@ impl QueueScalingResult {
     }
 }
 
-/// Run one (op, clients) phase — the per-cell entry the sharded
-/// campaign runner drives.
-pub fn run_phase(
+/// Run one (op, clients) phase.
+fn run_phase(
     cfg: &QueueScalingConfig,
     op: QueueOp,
     clients: usize,
@@ -246,34 +246,23 @@ fn one_phase_on(
     }
 }
 
-/// Run the full Fig 3 experiment.
-pub fn run(cfg: &QueueScalingConfig) -> QueueScalingResult {
+/// Run the full Fig 3 experiment, one cell per (op, clients) phase in
+/// paper op order. Returns the result and the traced cell's summary,
+/// if any.
+pub fn run(cfg: &QueueScalingConfig, opts: &RunOpts) -> (QueueScalingResult, Option<String>) {
     let points: Vec<(QueueOp, usize)> = QueueOp::ALL
         .iter()
         .flat_map(|op| cfg.client_counts.iter().map(move |c| (*op, *c)))
         .collect();
-    let rows = parallel_sweep(points, |(op, clients)| {
-        run_phase(cfg, op, clients, &CellCtx::detached())
+    let out = run_cells(points.len(), opts, |i, ctx| {
+        let (op, clients) = points[i];
+        run_phase(cfg, op, clients, ctx)
     });
-    QueueScalingResult {
+    let result = QueueScalingResult {
         message_bytes: cfg.message_bytes,
-        rows,
-    }
-}
-
-/// Run the experiment at several message sizes (the paper ran 512 B,
-/// 1, 4 and 8 kB: "the shape of the performance curve for each message
-/// size is very similar").
-pub fn run_sizes(base: &QueueScalingConfig, sizes_bytes: &[f64]) -> Vec<QueueScalingResult> {
-    sizes_bytes
-        .iter()
-        .map(|&b| {
-            run(&QueueScalingConfig {
-                message_bytes: b,
-                ..base.clone()
-            })
-        })
-        .collect()
+        rows: out.cells,
+    };
+    (result, out.trace_summary)
 }
 
 /// Shape similarity of two per-client curves for `op` (1.0 = identical
@@ -332,23 +321,16 @@ pub fn length_invariance_at(seed: u64, n_msgs: usize, ctx: &CellCtx) -> f64 {
     })
 }
 
-/// The §3.3 queue-length invariance check: per-client Receive rates on a
-/// 200 k-message vs a 2 M-message queue (scaled by `scale` for quick
-/// runs). Returns (rate_small, rate_large) in ops/s.
-pub fn length_invariance(seed: u64, scale: f64) -> (f64, f64) {
-    let ctx = CellCtx::detached();
-    (
-        length_invariance_at(seed, (200_000.0 * scale) as usize, &ctx),
-        length_invariance_at(seed, (2_000_000.0 * scale) as usize, &ctx),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn sweep(cfg: QueueScalingConfig) -> QueueScalingResult {
+        run(&cfg, &RunOpts::serial()).0
+    }
+
     fn shape_result() -> QueueScalingResult {
-        run(&QueueScalingConfig {
+        sweep(QueueScalingConfig {
             message_bytes: 512.0,
             client_counts: vec![1, 16, 32, 64, 128, 192],
             ops_per_client: 60,
@@ -419,8 +401,13 @@ mod tests {
 
     #[test]
     fn queue_length_invariance_holds() {
-        let (small, large) = length_invariance(3, 0.05);
-        let ratio = large / small;
+        // 200 k vs 2 M messages, scaled by 0.05.
+        let msgs = [10_000, 100_000];
+        let rates = run_cells(2, &RunOpts::serial(), |i, ctx| {
+            length_invariance_at(3, msgs[i], ctx)
+        })
+        .cells;
+        let ratio = rates[1] / rates[0];
         assert!((0.85..1.18).contains(&ratio), "ratio={ratio}");
     }
 
@@ -434,7 +421,15 @@ mod tests {
             ops_per_client: 40,
             seed: 17,
         };
-        let results = run_sizes(&base, &[512.0, 1024.0, 4096.0, 8192.0]);
+        let results: Vec<_> = [512.0, 1024.0, 4096.0, 8192.0]
+            .iter()
+            .map(|&b| {
+                sweep(QueueScalingConfig {
+                    message_bytes: b,
+                    ..base.clone()
+                })
+            })
+            .collect();
         for op in QueueOp::ALL {
             for pair in results.windows(2) {
                 let sim = curve_similarity(&pair[0], &pair[1], op);
@@ -450,7 +445,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_ops() {
-        let r = run(&QueueScalingConfig {
+        let r = sweep(QueueScalingConfig {
             message_bytes: 512.0,
             client_counts: vec![2],
             ops_per_client: 5,

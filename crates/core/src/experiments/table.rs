@@ -13,9 +13,10 @@ use azstore::{Entity, StorageAccountClient, StorageError, StorageStamp};
 use simcore::combinators::join_all;
 use simcore::prelude::*;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, CellCtx, RunOpts};
 
-use crate::runner::{mean, parallel_sweep, CLIENT_COUNTS};
+use super::mean;
+use crate::CLIENT_COUNTS;
 
 /// The four benchmarked table operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -238,9 +239,8 @@ fn summarize(op: TableOp, clients: usize, out: &PhaseOutcome) -> TableScalingRow
 }
 
 /// Run the whole four-phase protocol for one client count; returns the
-/// four rows in paper order. This is the per-cell entry the sharded
-/// campaign runner drives.
-pub fn run_point(cfg: &TableScalingConfig, clients: usize, ctx: &CellCtx) -> Vec<TableScalingRow> {
+/// four rows in paper order.
+fn run_point(cfg: &TableScalingConfig, clients: usize, ctx: &CellCtx) -> Vec<TableScalingRow> {
     let seed = cfg.seed ^ ((clients as u64) << 20) ^ cfg.entity_kb as u64;
     ctx.with_sim(seed, |sim| one_point_on(sim, cfg, clients, ctx))
 }
@@ -408,30 +408,18 @@ fn one_point_on(
         .collect()
 }
 
-/// Run the full Fig 2 experiment at the configured entity size.
-pub fn run(cfg: &TableScalingConfig) -> TableScalingResult {
-    let per_point = parallel_sweep(cfg.client_counts.clone(), |clients| {
-        run_point(cfg, clients, &CellCtx::detached())
+/// Run the full Fig 2 experiment at the configured entity size, one
+/// cell per swept client count. Returns the result and the traced
+/// cell's summary, if any.
+pub fn run(cfg: &TableScalingConfig, opts: &RunOpts) -> (TableScalingResult, Option<String>) {
+    let out = run_cells(cfg.client_counts.len(), opts, |i, ctx| {
+        run_point(cfg, cfg.client_counts[i], ctx)
     });
-    TableScalingResult {
+    let result = TableScalingResult {
         entity_kb: cfg.entity_kb,
-        rows: per_point.into_iter().flatten().collect(),
-    }
-}
-
-/// Run the experiment at several entity sizes (the paper ran 1, 4, 16
-/// and 64 kB and reports that "the shape of the performance curves for
-/// different entity sizes are similar").
-pub fn run_sizes(base: &TableScalingConfig, sizes_kb: &[usize]) -> Vec<TableScalingResult> {
-    sizes_kb
-        .iter()
-        .map(|&kb| {
-            run(&TableScalingConfig {
-                entity_kb: kb,
-                ..base.clone()
-            })
-        })
-        .collect()
+        rows: out.cells.into_iter().flatten().collect(),
+    };
+    (result, out.trace_summary)
 }
 
 /// Shape similarity of two per-client curves for `op`: each curve is
@@ -466,8 +454,12 @@ pub fn curve_similarity(a: &TableScalingResult, b: &TableScalingResult, op: Tabl
 mod tests {
     use super::*;
 
+    fn sweep(cfg: TableScalingConfig) -> TableScalingResult {
+        run(&cfg, &RunOpts::serial()).0
+    }
+
     fn shape_result() -> TableScalingResult {
-        run(&TableScalingConfig {
+        sweep(TableScalingConfig {
             entity_kb: 4,
             client_counts: vec![1, 8, 32, 128, 192],
             inserts_per_client: 60,
@@ -528,7 +520,7 @@ mod tests {
     /// 4 kB runs stay clean.
     #[test]
     fn large_entities_at_high_concurrency_hit_timeouts() {
-        let big = run(&TableScalingConfig {
+        let big = sweep(TableScalingConfig {
             entity_kb: 64,
             client_counts: vec![128],
             inserts_per_client: 60,
@@ -544,7 +536,7 @@ mod tests {
         );
         assert!(row.timeouts + row.busy > 0);
 
-        let small = run(&TableScalingConfig {
+        let small = sweep(TableScalingConfig {
             entity_kb: 4,
             client_counts: vec![128],
             inserts_per_client: 60,
@@ -572,7 +564,15 @@ mod tests {
             updates_per_client: 0,
             seed: 13,
         };
-        let results = run_sizes(&base, &[1, 4, 16]);
+        let results: Vec<_> = [1, 4, 16]
+            .iter()
+            .map(|&kb| {
+                sweep(TableScalingConfig {
+                    entity_kb: kb,
+                    ..base.clone()
+                })
+            })
+            .collect();
         for op in [TableOp::Insert, TableOp::Query] {
             for pair in results.windows(2) {
                 let sim = curve_similarity(&pair[0], &pair[1], op);
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_ops() {
-        let r = run(&TableScalingConfig {
+        let r = sweep(TableScalingConfig {
             entity_kb: 4,
             client_counts: vec![2],
             inserts_per_client: 5,

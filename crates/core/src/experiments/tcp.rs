@@ -12,13 +12,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dcnet::{
-    BackgroundConfig, BackgroundTraffic, HostId, LatencyModel, Network, Topology, TopologyConfig,
+    BackgroundConfig, BackgroundTraffic, HostId, LatencyModel, LinkModel, Network, PairPlacement,
+    Topology, TopologyConfig,
 };
 use simcore::prelude::*;
 use simcore::report::{num, pct, AsciiTable};
-use simlab::CellCtx;
-
-use crate::runner::parallel_sweep;
+use simlab::{run_cells, CellCtx, RunOpts};
 
 // ---------------------------------------------------------------------------
 // FIG4 — latency
@@ -75,40 +74,65 @@ impl TcpLatencyResult {
     }
 }
 
-/// Run the latency measurement. Each pair keeps its placement for all of
-/// its samples, as a real deployed pair would. Placements come from the
-/// fabric's fault-domain spread ([`LatencyModel::spread_placements`]):
-/// a 10-pair deployment realizes the datacenter placement mixture
-/// instead of rolling i.i.d. placement dice, which at this sample size
-/// misses Fig 4's anchors more often than it hits them.
-pub fn run_latency(cfg: &TcpLatencyConfig) -> TcpLatencyResult {
-    let model = LatencyModel::default();
+/// Run the latency measurement, one cell per VM pair. Each pair keeps
+/// its placement for all of its samples, as a real deployed pair would.
+/// Placements come from the fabric's fault-domain spread
+/// ([`LatencyModel::spread_placements`]): a 10-pair deployment realizes
+/// the datacenter placement mixture instead of rolling i.i.d. placement
+/// dice, which at this sample size misses Fig 4's anchors more often
+/// than it hits them. Returns the result and the traced cell's summary,
+/// if any.
+pub fn run_latency(cfg: &TcpLatencyConfig, opts: &RunOpts) -> (TcpLatencyResult, Option<String>) {
+    let placements = LatencyModel::default().spread_placements(cfg.pairs);
+    let out = run_cells(cfg.pairs, opts, |i, ctx| {
+        latency_pair(cfg, i, placements[i], ctx)
+    });
     let mut samples = SampleSet::with_capacity(cfg.pairs * cfg.samples_per_pair);
-    let placements = model.spread_placements(cfg.pairs);
-    for (pair, &placement) in placements.iter().enumerate() {
-        for v in latency_pair(cfg, pair, placement) {
-            samples.push(v);
-        }
+    for v in out.cells.into_iter().flatten() {
+        samples.push(v);
     }
-    TcpLatencyResult {
+    let result = TcpLatencyResult {
         samples_ms: samples,
-    }
+    };
+    (result, out.trace_summary)
 }
 
-/// One pair's RTT samples (ms) — the per-cell entry the sharded runner
-/// drives. The latency model is a closed-form draw with no `Sim` behind
-/// it, so it is transparent to fault plans (the paper's Fig 4 ran on a
-/// healthy deployment; faults act on the storage and fabric figures).
-pub fn latency_pair(
+/// One pair's RTT samples (ms). The latency model is a closed-form draw
+/// with no `Sim` behind it, so it is transparent to fault plans (the
+/// paper's Fig 4 ran on a healthy deployment; faults act on the storage
+/// and fabric figures). When this is the traced cell it also runs a
+/// representative NIC-level ping scenario, so the Chrome trace has real
+/// `net.flow` spans in it; the samples do not depend on it.
+fn latency_pair(
     cfg: &TcpLatencyConfig,
     pair: usize,
-    placement: dcnet::PairPlacement,
+    placement: PairPlacement,
+    ctx: &CellCtx,
 ) -> Vec<f64> {
     let model = LatencyModel::default();
     let mut rng = SimRng::from_seed(cfg.seed ^ ((pair as u64) << 8));
-    (0..cfg.samples_per_pair)
+    let samples = (0..cfg.samples_per_pair)
         .map(|_| model.sample_rtt(placement, &mut rng).as_millis_f64())
-        .collect()
+        .collect();
+    if ctx.is_traced() {
+        // A few 1-byte-scale ping flows across a VM pair's NIC links
+        // (net.flow spans + bandwidth-share counters).
+        ctx.with_sim(cfg.seed, |sim| {
+            let net = Network::new(sim);
+            let tx = net.add_link("vm_a.tx", LinkModel::Shared { capacity: 125.0e6 });
+            let rx = net.add_link("vm_b.rx", LinkModel::Shared { capacity: 125.0e6 });
+            for _ in 0..5 {
+                let net = net.clone();
+                sim.spawn(async move {
+                    for _ in 0..4 {
+                        net.transfer(&[tx, rx], 1.0e3, f64::INFINITY).await;
+                    }
+                });
+            }
+            sim.run();
+        });
+    }
+    samples
 }
 
 // ---------------------------------------------------------------------------
@@ -212,9 +236,8 @@ fn place_pair(topo: &Topology, p_same: f64, rng: &mut SimRng) -> (HostId, HostId
     }
 }
 
-/// One deployment round's transfer rates (MB/s) — the per-cell entry
-/// the sharded campaign runner drives.
-pub fn bandwidth_round(cfg: &TcpBandwidthConfig, round: usize, ctx: &CellCtx) -> Vec<f64> {
+/// One deployment round's transfer rates (MB/s).
+fn bandwidth_round(cfg: &TcpBandwidthConfig, round: usize, ctx: &CellCtx) -> Vec<f64> {
     let seed = cfg.seed ^ ((round as u64) << 12);
     ctx.with_sim(seed, |sim| one_round_on(sim, cfg))
 }
@@ -272,21 +295,22 @@ fn one_round_on(sim: &Sim, cfg: &TcpBandwidthConfig) -> Vec<f64> {
     out
 }
 
-/// Run the bandwidth measurement across all rounds (parallelized).
-pub fn run_bandwidth(cfg: &TcpBandwidthConfig) -> TcpBandwidthResult {
-    let rounds: Vec<usize> = (0..cfg.rounds).collect();
-    let all = parallel_sweep(rounds, |round| {
-        bandwidth_round(cfg, round, &CellCtx::detached())
-    });
-    let mut samples = SampleSet::new();
-    for chunk in all {
-        for v in chunk {
-            samples.push(v);
-        }
+/// Run the bandwidth measurement, one cell per deployment round.
+/// Returns the result and the traced cell's summary, if any.
+pub fn run_bandwidth(
+    cfg: &TcpBandwidthConfig,
+    opts: &RunOpts,
+) -> (TcpBandwidthResult, Option<String>) {
+    let out = run_cells(cfg.rounds, opts, |i, ctx| bandwidth_round(cfg, i, ctx));
+    let mut samples =
+        SampleSet::with_capacity(cfg.rounds * cfg.pairs_per_round * cfg.transfers_per_pair);
+    for v in out.cells.into_iter().flatten() {
+        samples.push(v);
     }
-    TcpBandwidthResult {
+    let result = TcpBandwidthResult {
         samples_mbps: samples,
-    }
+    };
+    (result, out.trace_summary)
 }
 
 #[cfg(test)]
@@ -296,11 +320,12 @@ mod tests {
     /// Fig 4's anchors: ≈50 % ≤ 1 ms, ≈75 % ≤ 2 ms.
     #[test]
     fn fig4_anchor_fractions() {
-        let r = run_latency(&TcpLatencyConfig {
+        let cfg = TcpLatencyConfig {
             pairs: 40, // more pairs to tighten the placement mixture
             samples_per_pair: 500,
             seed: 99,
-        });
+        };
+        let (r, _) = run_latency(&cfg, &RunOpts::serial());
         let le1 = r.fraction_at_most(1.0);
         let le2 = r.fraction_at_most(2.0);
         assert!((le1 - 0.50).abs() < 0.12, "P(<=1ms) = {le1}");
@@ -311,7 +336,7 @@ mod tests {
     /// Fig 5's anchors: ≈50 % of transfers ≥ 90 MB/s, ≈15 % ≤ 30 MB/s.
     #[test]
     fn fig5_anchor_fractions() {
-        let r = run_bandwidth(&TcpBandwidthConfig::quick());
+        let (r, _) = run_bandwidth(&TcpBandwidthConfig::quick(), &RunOpts::serial());
         let ge90 = r.fraction_at_least(90.0);
         let le30 = r.fraction_at_most(30.0);
         assert!((0.30..0.72).contains(&ge90), "P(>=90) = {ge90}");
@@ -322,11 +347,12 @@ mod tests {
 
     #[test]
     fn latency_render_is_cumulative() {
-        let r = run_latency(&TcpLatencyConfig {
+        let cfg = TcpLatencyConfig {
             pairs: 4,
             samples_per_pair: 100,
             seed: 7,
-        });
+        };
+        let (r, _) = run_latency(&cfg, &RunOpts::serial());
         let s = r.render();
         assert!(s.contains("Fig 4"));
         assert!(s.contains("overflow"));
@@ -334,7 +360,7 @@ mod tests {
 
     #[test]
     fn bandwidth_render_has_13_bins() {
-        let r = run_bandwidth(&TcpBandwidthConfig {
+        let cfg = TcpBandwidthConfig {
             rounds: 2,
             pairs_per_round: 2,
             transfers_per_pair: 1,
@@ -342,7 +368,8 @@ mod tests {
             p_same_rack: 0.5,
             background: true,
             seed: 3,
-        });
+        };
+        let (r, _) = run_bandwidth(&cfg, &RunOpts::serial());
         let s = r.render();
         assert_eq!(s.lines().count(), 1 + 2 + 13);
     }

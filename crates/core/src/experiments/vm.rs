@@ -13,7 +13,7 @@ use fabric::{
 };
 use simcore::prelude::*;
 use simcore::report::{num, AsciiTable};
-use simlab::CellCtx;
+use simlab::{run_cells, RunOpts};
 
 /// Configuration of the lifecycle campaign.
 #[derive(Debug, Clone)]
@@ -115,16 +115,15 @@ impl VmLifecycleResult {
     }
 }
 
-/// Run the campaign.
-pub fn run(cfg: &VmLifecycleConfig) -> VmLifecycleResult {
-    run_ctx(cfg, &CellCtx::detached())
-}
-
-/// Run the campaign inside a cell context — the sharded campaign
-/// runner's entry point (Table 1 is a single sequential campaign, so it
-/// stays one cell; the context still routes `--faults` to its thread).
-pub fn run_ctx(cfg: &VmLifecycleConfig, ctx: &CellCtx) -> VmLifecycleResult {
-    ctx.with_sim(cfg.seed, |sim| run_on(sim, cfg))
+/// Run the campaign. Table 1 is one long sequential simulation, so it
+/// is a single cell; the cell context still routes `--faults` and
+/// `--trace` to whichever thread runs it. Returns the result and the
+/// traced cell's summary, if any.
+pub fn run(cfg: &VmLifecycleConfig, opts: &RunOpts) -> (VmLifecycleResult, Option<String>) {
+    let mut out = run_cells(1, opts, |_, ctx| {
+        ctx.with_sim(cfg.seed, |sim| run_on(sim, cfg))
+    });
+    (out.cells.remove(0), out.trace_summary)
 }
 
 fn run_on(sim: &Sim, cfg: &VmLifecycleConfig) -> VmLifecycleResult {
@@ -241,10 +240,11 @@ mod tests {
     use fabric::calib::paper_table1;
 
     fn campaign() -> VmLifecycleResult {
-        run(&VmLifecycleConfig {
+        let cfg = VmLifecycleConfig {
             successful_runs: 160,
             seed: 0x7AB1,
-        })
+        };
+        run(&cfg, &RunOpts::serial()).0
     }
 
     #[test]
@@ -304,10 +304,11 @@ mod tests {
 
     #[test]
     fn render_has_16_stat_rows_and_na() {
-        let r = run(&VmLifecycleConfig {
+        let cfg = VmLifecycleConfig {
             successful_runs: 30,
             seed: 1,
-        });
+        };
+        let (r, _) = run(&cfg, &RunOpts::serial());
         let s = r.render();
         assert!(s.contains("Table 1"));
         assert!(s.contains("N/A"), "XL Add must render as N/A");

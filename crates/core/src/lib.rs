@@ -13,18 +13,22 @@
 //! * [`experiments::vm`] — Table 1 (VM lifecycle campaign)
 //! * [`experiments::tcp`] — Figs 4 & 5 (TCP latency / bandwidth)
 //!
-//! Sweep points are independent simulations parallelized across OS
-//! threads ([`runner::parallel_sweep`]); the paper's published numbers
-//! live in [`anchors`] so results can be compared programmatically.
+//! Sweep points are independent simulations, one [`simlab`] cell each;
+//! every experiment's `run(cfg, opts)` schedules its cells through
+//! [`simlab::run_cells`], so `--shards`, `--faults` and `--trace` apply
+//! the same way to library callers and campaigns. The paper's published
+//! numbers live in [`anchors`] so results can be compared
+//! programmatically.
 //!
 //! ## Example
 //! ```
 //! use cloudbench::experiments::blob;
+//! use simlab::RunOpts;
 //!
 //! // A scaled-down Fig 1 sweep (full scale: BlobScalingConfig::default()).
 //! let mut cfg = blob::BlobScalingConfig::quick();
 //! cfg.client_counts = vec![1, 32];
-//! let result = blob::run(&cfg);
+//! let (result, _trace) = blob::run(&cfg, &RunOpts::serial());
 //! let one = result.at(1).unwrap().download_per_client_mbps;
 //! let many = result.at(32).unwrap().download_per_client_mbps;
 //! assert!(many < one); // concurrency costs per-client bandwidth
@@ -34,7 +38,21 @@
 
 pub mod anchors;
 pub mod experiments;
-pub mod runner;
 
 pub use anchors::Anchor;
-pub use runner::{parallel_sweep, CLIENT_COUNTS};
+
+/// The concurrency ladder used throughout the paper: "For all our tests
+/// we use from 1 to 192 concurrent clients" (§3).
+pub const CLIENT_COUNTS: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 192];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_ladder_matches_paper() {
+        assert_eq!(CLIENT_COUNTS.first(), Some(&1));
+        assert_eq!(CLIENT_COUNTS.last(), Some(&192));
+        assert!(CLIENT_COUNTS.windows(2).all(|w| w[0] < w[1]));
+    }
+}

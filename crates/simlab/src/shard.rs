@@ -75,22 +75,10 @@ pub struct CellCtx<'a> {
     /// Arms tracing for the first `with_sim` of the traced cell only
     /// (a cell may run several sims; the first is its representative).
     trace_armed: Cell<bool>,
-    trace_out: Option<&'a Mutex<Option<String>>>,
+    trace_out: &'a Mutex<Option<String>>,
 }
 
 impl<'a> CellCtx<'a> {
-    /// A context with no fault plan and no tracing — library callers
-    /// (the serial `run()` entry points, unit tests) use this; it makes
-    /// `with_sim(seed, f)` exactly `f(&Sim::new(seed))`.
-    pub fn detached() -> CellCtx<'static> {
-        CellCtx {
-            faults: None,
-            trace: None,
-            trace_armed: Cell::new(false),
-            trace_out: None,
-        }
-    }
-
     fn for_cell(
         idx: usize,
         opts: &'a RunOpts,
@@ -101,7 +89,7 @@ impl<'a> CellCtx<'a> {
             faults: opts.faults.as_ref(),
             trace: opts.trace.as_ref().filter(|_| traced),
             trace_armed: Cell::new(traced),
-            trace_out: Some(trace_out),
+            trace_out,
         }
     }
 
@@ -124,8 +112,9 @@ impl<'a> CellCtx<'a> {
     /// the traced cell's first simulation) on the current thread, and
     /// run `f`. The scenario `f` drives the simulation itself —
     /// including `sim.run()` — exactly as the pre-simlab experiment
-    /// code did, so a detached context adds nothing to the event
-    /// sequence and the output stays byte-identical.
+    /// code did, so a context with no faults and no trace adds nothing
+    /// to the event sequence: `with_sim(seed, f)` is then exactly
+    /// `f(&Sim::new(seed))`.
     pub fn with_sim<R>(&self, seed: u64, f: impl FnOnce(&Sim) -> R) -> R {
         let sim = Sim::new(seed);
         let _faults = self.faults.map(|p| simfault::install(&sim, p));
@@ -152,9 +141,7 @@ impl<'a> CellCtx<'a> {
                     spec.path.display()
                 )),
             }
-            if let Some(slot) = self.trace_out {
-                *slot.lock().unwrap() = Some(summary);
-            }
+            *self.trace_out.lock().unwrap() = Some(summary);
             out
         } else {
             f(&sim)
@@ -245,11 +232,14 @@ mod tests {
             let mut rng = sim.rng("x");
             rng.bits()
         };
-        let via_ctx = CellCtx::detached().with_sim(42, |sim| {
-            let mut rng = sim.rng("x");
-            rng.bits()
+        let out = run_cells(1, &RunOpts::serial(), |_, ctx| {
+            assert!(ctx.fault_plan().is_none() && !ctx.is_traced());
+            ctx.with_sim(42, |sim| {
+                let mut rng = sim.rng("x");
+                rng.bits()
+            })
         });
-        assert_eq!(direct, via_ctx);
+        assert_eq!(out.cells, vec![direct]);
     }
 
     #[test]

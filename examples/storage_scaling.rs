@@ -6,15 +6,17 @@
 
 use azure_repro::prelude::*;
 use experiments::{blob, queue};
+use simlab::RunOpts;
 
 fn main() {
     println!("== blob bandwidth vs concurrency (mini Fig 1) ==");
-    let blob_result = blob::run(&blob::BlobScalingConfig {
+    let blob_cfg = blob::BlobScalingConfig {
         blob_bytes: 200.0e6,
         client_counts: vec![1, 8, 32, 128],
         runs: 1,
         seed: 7,
-    });
+    };
+    let (blob_result, _) = blob::run(&blob_cfg, &RunOpts::serial());
     println!("{}", blob_result.render());
     let r1 = blob_result.at(1).unwrap().download_per_client_mbps;
     let r32 = blob_result.at(32).unwrap().download_per_client_mbps;
@@ -24,12 +26,13 @@ fn main() {
     );
 
     println!("== queue operations vs concurrency (mini Fig 3) ==");
-    let q = queue::run(&queue::QueueScalingConfig {
+    let queue_cfg = queue::QueueScalingConfig {
         message_bytes: 512.0,
         client_counts: vec![1, 16, 64],
         ops_per_client: 50,
         seed: 7,
-    });
+    };
+    let (q, _) = queue::run(&queue_cfg, &RunOpts::serial());
     println!("{}", q.render());
     let peek = q.at(queue::QueueOp::Peek, 64).unwrap().aggregate_ops_s;
     let add = q.at(queue::QueueOp::Add, 64).unwrap().aggregate_ops_s;

@@ -65,6 +65,13 @@ fn fig1_quick_is_shard_invariant() {
     assert_shard_invariant("fig1", None);
 }
 
+/// Fig 2 runs two sweeps through the same sharded runner: the 4 kB grid
+/// and then the 64 kB insert cliff.
+#[test]
+fn fig2_quick_is_shard_invariant() {
+    assert_shard_invariant("fig2", None);
+}
+
 #[test]
 fn fig3_quick_is_shard_invariant() {
     assert_shard_invariant("fig3", None);
@@ -73,6 +80,18 @@ fn fig3_quick_is_shard_invariant() {
 #[test]
 fn fig4_quick_is_shard_invariant() {
     assert_shard_invariant("fig4", None);
+}
+
+#[test]
+fn fig5_quick_is_shard_invariant() {
+    assert_shard_invariant("fig5", None);
+}
+
+/// The ablation cells include a whole Fig 5 bandwidth sweep run serially
+/// inside one cell; the merged sections must not depend on sharding.
+#[test]
+fn ablations_quick_is_shard_invariant() {
+    assert_shard_invariant("ablations", None);
 }
 
 /// The day-segmented ModisAzure campaign: segments merge with
