@@ -34,6 +34,7 @@
 
 use std::rc::Rc;
 
+use azstore::calib::{QUEUE_NOMINAL_OPS_S, TABLE_NOMINAL_OPS_S};
 use azstore::{AdmissionConfig, CapacityScale, StampConfig, StorageAccountClient, StorageStamp};
 use fabric::{DeploymentSpec, FabricConfig, FabricController, HostPoolConfig, RoleType, VmSize};
 use simcore::prelude::*;
@@ -46,17 +47,14 @@ use crate::harness::{Decision, Harness};
 use crate::policy::{self, Scaler, Signals};
 
 /// Notional reference front-end fleet behind the calibrated queue
-/// constants: the simulated Fig 3 Add saturation (~585 ops/s) read as
-/// 64 instances of μᵢ ≈ 9.14 ops/s each.
+/// constants: the simulated Fig 3 Add saturation
+/// ([`QUEUE_NOMINAL_OPS_S`], ~585 ops/s) read as 64 instances of
+/// μᵢ ≈ 9.14 ops/s each.
 pub const QUEUE_REF_INSTANCES: f64 = 64.0;
-/// Simulated queue Add saturation throughput at reference capacity.
-pub const QUEUE_NOMINAL_OPS_S: f64 = 585.0;
 /// Notional reference fleet behind the calibrated table constants:
-/// the simulated Fig 2 Query saturation (~3900 ops/s) read as 400
-/// instances of μᵢ = 9.75 ops/s each.
+/// the simulated Fig 2 Query saturation ([`TABLE_NOMINAL_OPS_S`],
+/// ~3900 ops/s) read as 400 instances of μᵢ = 9.75 ops/s each.
 pub const TABLE_REF_INSTANCES: f64 = 400.0;
-/// Simulated table Query saturation throughput at reference capacity.
-pub const TABLE_NOMINAL_OPS_S: f64 = 3900.0;
 
 /// Minimum seconds between scale-out orders.
 pub const COOLDOWN_OUT_S: f64 = 60.0;
@@ -257,11 +255,6 @@ impl ElasticConfig {
     /// scale-out tax makes dangerous.
     pub fn fixed_instances(&self) -> usize {
         (self.peak_units.floor() as usize).clamp(self.min_instances, self.max_instances)
-    }
-
-    /// What adaptive policies boot with: mean demand, rounded up.
-    pub fn mean_instances(&self) -> usize {
-        (self.demand_units.ceil() as usize).clamp(self.min_instances, self.max_instances)
     }
 }
 

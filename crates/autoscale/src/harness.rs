@@ -61,11 +61,6 @@ impl Harness {
         }
     }
 
-    /// The wrapped policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Decide one tick and append its log line.
     pub fn decide(&mut self, sig: &Signals) -> Decision {
         let raw = self.policy.desired(sig);

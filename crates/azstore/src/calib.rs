@@ -27,6 +27,19 @@ pub const SMALL_VM_STORAGE_BPS: f64 = 13.0 * MB;
 /// (§6.1). The observed maximum was 393.4 MB/s at 128 clients (§3.1).
 pub const BLOB_EGRESS_BPS: f64 = 400.0 * MB;
 
+/// Simulated table Query saturation throughput (ops/s): this
+/// reproduction's closed-loop Fig 2 aggregate, which the paper does not
+/// publish. Unlike the constants around it this is an outcome of the
+/// table model, not an input to it; with [`BLOB_EGRESS_BPS`] and
+/// [`QUEUE_NOMINAL_OPS_S`] it names each service's saturation capacity
+/// once for the open-loop campaigns and the autoscaler.
+pub const TABLE_NOMINAL_OPS_S: f64 = 3900.0;
+
+/// Simulated queue Add saturation throughput (ops/s): the closed-loop
+/// Fig 3 Add peak (the paper's 569 ops/s), an outcome of the queue
+/// model like [`TABLE_NOMINAL_OPS_S`].
+pub const QUEUE_NOMINAL_OPS_S: f64 = 585.0;
+
 /// Concurrency knee past which single-blob egress degrades (the paper's
 /// maximum was *at* 128 clients; 192 was lower).
 pub const BLOB_EGRESS_KNEE: usize = 128;

@@ -34,6 +34,7 @@
 use azgeo::{run_geo, GeoConfig, GeoResult};
 use azroute::consistency::ReadPolicy;
 use azroute::{run_consistency, Consistency, ReaderPlacement, RouteConfig, RouteResult};
+use azstore::calib::{BLOB_EGRESS_BPS, TABLE_NOMINAL_OPS_S};
 use cloudbench::anchors;
 use cloudbench::experiments::stamp_config;
 use simcore::report::{num, AsciiTable, Csv};
@@ -41,7 +42,7 @@ use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
 use simload::{ArrivalProcess, Workload};
 
-use super::CampaignOutput;
+use super::{CampaignOutput, ServicePlan};
 
 /// Stamps in the geo set = regions in the RTT matrix (1:1).
 const STAMPS: usize = 4;
@@ -62,23 +63,6 @@ const TAU_CLEAN_DEFAULT_S: f64 = 2.0;
 const TAU_PARTITION_S: f64 = 15.0;
 /// Campaign seed base.
 const SEED: u64 = 0xA40;
-
-/// The swept read services (queue Adds are the write stream, not a
-/// read to route).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Service {
-    Table,
-    Blob,
-}
-
-impl Service {
-    fn name(self) -> &'static str {
-        match self {
-            Service::Table => "table",
-            Service::Blob => "blob",
-        }
-    }
-}
 
 /// Cell family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,20 +85,13 @@ impl Kind {
     }
 }
 
-/// Per-service sweep parameters.
-struct ServicePlan {
-    service: Service,
-    workload: Workload,
-    /// Aggregate read rate the clean cells offer (ops/s) — ~0.3× the
-    /// aggregate nominal, well under the knee so latency differences
-    /// are RTTs, not queueing.
-    offered_ops_s: f64,
-    /// Read-latency SLO (s); covers the worst cross-region RTT.
-    deadline_s: f64,
-}
-
 /// Full cell grid + windows for one mode.
 struct Plan {
+    /// The swept read services (queue Adds are the write stream, not a
+    /// read to route). Each plan's nominal is the aggregate read rate
+    /// the clean cells offer: ~0.3x the aggregate knee, well under it
+    /// so latency differences are RTTs, not queueing. Its deadline
+    /// covers the worst cross-region RTT.
     services: Vec<ServicePlan>,
     /// The four modes, clean-τ resolved (canonical order).
     modes: Vec<Consistency>,
@@ -150,21 +127,19 @@ struct Cell {
 impl Plan {
     fn new(quick: bool, tau_clean_s: f64) -> Plan {
         let mut services = vec![ServicePlan {
-            service: Service::Table,
             // Small queries: service time well under the cross-region
             // RTTs the placements add, so the frontier is visible.
             workload: Workload::TableQuery {
                 entities: 64,
                 entity_kb: 4,
             },
-            offered_ops_s: 0.3 * STAMPS as f64 * 3900.0,
+            nominal_ops_s: 0.3 * STAMPS as f64 * TABLE_NOMINAL_OPS_S,
             deadline_s: 0.12,
         }];
         if !quick {
             services.push(ServicePlan {
-                service: Service::Blob,
                 workload: Workload::BlobGet { blob_bytes: 0.25e6 },
-                offered_ops_s: 0.3 * STAMPS as f64 * 400e6 / 0.25e6,
+                nominal_ops_s: 0.3 * STAMPS as f64 * BLOB_EGRESS_BPS / 0.25e6,
                 deadline_s: 0.5,
             });
         }
@@ -279,7 +254,7 @@ impl Plan {
             offered_ops_s: if partition {
                 self.partition_ops_s
             } else {
-                sp.offered_ops_s
+                sp.nominal_ops_s
             },
             warmup_s: self.warmup_s,
             window_s: if partition {
@@ -307,7 +282,7 @@ impl Plan {
             accounts: self.accounts,
             workload: sp.workload,
             process: ArrivalProcess::Poisson,
-            offered_ops_s: sp.offered_ops_s,
+            offered_ops_s: sp.nominal_ops_s,
             warmup_s: self.warmup_s,
             window_s: self.window_s,
             fleet: self.fleet,
@@ -432,7 +407,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         match o {
             CellOut::Geo(r) => {
                 table.row(vec![
-                    sp.service.name().to_string(),
+                    sp.service().name().to_string(),
                     c.kind.name().to_string(),
                     "frontdoor".to_string(),
                     "home".to_string(),
@@ -448,7 +423,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
                     "-".to_string(),
                 ]);
                 let mut row = vec![
-                    sp.service.name().to_string(),
+                    sp.service().name().to_string(),
                     c.kind.name().to_string(),
                     "frontdoor".to_string(),
                     "home".to_string(),
@@ -472,7 +447,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
                 let mode = plan.mode(c);
                 let tau = mode.tau_s();
                 table.row(vec![
-                    sp.service.name().to_string(),
+                    sp.service().name().to_string(),
                     c.kind.name().to_string(),
                     mode.name().to_string(),
                     c.placement.name().to_string(),
@@ -491,7 +466,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
                     },
                 ]);
                 csv.row(&[
-                    sp.service.name().to_string(),
+                    sp.service().name().to_string(),
                     c.kind.name().to_string(),
                     mode.name().to_string(),
                     c.placement.name().to_string(),
@@ -578,7 +553,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
                 bounded_ok &= ok;
                 bounded_lines.push_str(&format!(
                     "  bounded {} {} {}: stale max {:.3} s <= tau {:.1} s: {}\n",
-                    plan.services[c.si].service.name(),
+                    plan.services[c.si].service().name(),
                     c.kind.name(),
                     c.placement.name(),
                     r.slo.staleness.max(),

@@ -20,50 +20,13 @@ use cloudbench::anchors;
 use cloudbench::experiments::stamp_config;
 use simcore::report::{num, AsciiTable, Csv};
 use simlab::{anchor, run_cells, RunOpts};
-use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig, Workload};
+use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig};
 
-use super::CampaignOutput;
-
-/// The three swept services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Service {
-    Blob,
-    Table,
-    Queue,
-}
-
-impl Service {
-    fn name(self) -> &'static str {
-        match self {
-            Service::Blob => "blob",
-            Service::Table => "table",
-            Service::Queue => "queue",
-        }
-    }
-
-    /// Throughput unit for reporting (blob in MB/s, others in ops/s).
-    fn unit(self) -> &'static str {
-        match self {
-            Service::Blob => "MB/s",
-            _ => "ops/s",
-        }
-    }
-}
-
-/// Per-service sweep parameters.
-struct ServicePlan {
-    service: Service,
-    workload: Workload,
-    /// Nominal capacity guess the multipliers scale (ops/s) — the
-    /// closed-loop peak converted to operations.
-    nominal_ops_s: f64,
-    /// Latency SLO (seconds from the scheduled instant).
-    deadline_s: f64,
-}
+use super::{CampaignOutput, Service, ServicePlan};
 
 /// Full sweep plan (grid + windows) for one mode.
 struct Plan {
-    services: Vec<ServicePlan>,
+    services: [ServicePlan; 3],
     multipliers: Vec<f64>,
     /// Offered-load multiplier the bursty rider cells run at.
     bursty_multiplier: f64,
@@ -75,46 +38,8 @@ struct Plan {
 
 impl Plan {
     fn new(quick: bool) -> Plan {
-        // Blob transfers are sized so warmup covers a few service times
-        // even at saturation concurrency (~3 MB/s per flow near the Fig
-        // 1 peak) — capacity in MB/s is governed by the shared pipes,
-        // not the object size. Nominal rates are the closed-loop peaks:
-        // 400 MB/s aggregate download, ~3.9 k Query/s, ~585 Add/s.
-        let blob_bytes = if quick { 2e6 } else { 8e6 };
-        let services = vec![
-            ServicePlan {
-                service: Service::Blob,
-                workload: Workload::BlobGet { blob_bytes },
-                nominal_ops_s: 400e6 / blob_bytes,
-                // ~1.5x the per-op time at saturation concurrency.
-                deadline_s: if quick { 1.0 } else { 4.0 },
-            },
-            ServicePlan {
-                service: Service::Table,
-                workload: Workload::TableQuery {
-                    entities: 512,
-                    entity_kb: 4,
-                },
-                nominal_ops_s: 3900.0,
-                // The query station's sojourn at the closed-loop peak's
-                // effective concurrency is ~50-70 ms; the deadline caps
-                // the open-loop goodput at the comparable point (the
-                // station itself asymptotes well above the 192-client
-                // aggregate, so an SLO-free drain rate would not be
-                // comparable to Fig 2).
-                deadline_s: 0.08,
-            },
-            ServicePlan {
-                service: Service::Queue,
-                workload: Workload::QueueAdd {
-                    message_bytes: 512.0,
-                },
-                nominal_ops_s: 585.0,
-                deadline_s: 0.5,
-            },
-        ];
         Plan {
-            services,
+            services: ServicePlan::frontier(quick),
             multipliers: if quick {
                 vec![0.5, 0.85, 0.95, 1.0, 1.15]
             } else {
@@ -216,16 +141,11 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         .zip(&pts)
         .map(|(cell, (si, m, process))| {
             let sp = &plan.services[*si];
-            // Blob reports MB/s; ops-per-second services scale by 1.
-            let unit_scale = match sp.service {
-                Service::Blob => sp.workload.bytes_per_op() / 1e6,
-                _ => 1.0,
-            };
             Point {
-                service: sp.service,
+                service: sp.service(),
                 process: process.name(),
                 multiplier: *m,
-                unit_scale,
+                unit_scale: sp.unit_scale(),
                 cell,
             }
         })
@@ -311,7 +231,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     for sp in &plan.services {
         let sweep: Vec<&Point> = points
             .iter()
-            .filter(|p| p.service == sp.service && p.process == "poisson")
+            .filter(|p| p.service == sp.service() && p.process == "poisson")
             .collect();
         let peak_goodput = sweep.iter().map(|p| p.goodput()).fold(0.0, f64::max);
         let capacity = sweep.iter().map(|p| p.achieved()).fold(0.0, f64::max);
@@ -322,13 +242,13 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             .fold(0.0, f64::max);
         knee_lines.push_str(&format!(
             "  {}: peak goodput {} {unit} under {} ms SLO, drain capacity ~{} {unit}, knee at {knee:.2}x nominal offered\n",
-            sp.service.name(),
+            sp.service().name(),
             num(peak_goodput, 1),
             num(sp.deadline_s * 1e3, 0),
             num(capacity, 1),
-            unit = sp.service.unit(),
+            unit = sp.service().unit(),
         ));
-        let a = match sp.service {
+        let a = match sp.service() {
             Service::Blob => anchors::FRONTIER_BLOB_CAPACITY_MBPS,
             Service::Table => anchors::FRONTIER_TABLE_CAPACITY_OPS,
             Service::Queue => anchors::FRONTIER_QUEUE_CAPACITY_OPS,

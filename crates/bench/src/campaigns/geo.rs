@@ -31,41 +31,15 @@ use cloudbench::experiments::stamp_config;
 use simcore::report::{num, AsciiTable, Csv};
 use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
-use simload::{ArrivalProcess, Workload};
+use simload::ArrivalProcess;
 
-use super::CampaignOutput;
+use super::{CampaignOutput, Service, ServicePlan};
 
 /// Stamps in the geo set (equal capacity weights).
 const STAMPS: usize = 4;
 /// Placement seed for the location service (fixed: the account→stamp
 /// map is part of the campaign's deterministic contract).
 const PLACEMENT_SEED: u64 = 0xA2;
-
-/// The three swept services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Service {
-    Blob,
-    Table,
-    Queue,
-}
-
-impl Service {
-    fn name(self) -> &'static str {
-        match self {
-            Service::Blob => "blob",
-            Service::Table => "table",
-            Service::Queue => "queue",
-        }
-    }
-
-    /// Throughput unit for reporting (blob in MB/s, others in ops/s).
-    fn unit(self) -> &'static str {
-        match self {
-            Service::Blob => "MB/s",
-            _ => "ops/s",
-        }
-    }
-}
 
 /// Cell family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,21 +62,12 @@ impl Kind {
     }
 }
 
-/// Per-service sweep parameters (aggregate = STAMPS x the single-stamp
-/// frontier nominal, so each stamp sees the frontier's operating
-/// point).
-struct ServicePlan {
-    service: Service,
-    workload: Workload,
-    /// Aggregate nominal capacity across the set (ops/s).
-    nominal_ops_s: f64,
-    /// Latency SLO (seconds from the scheduled instant).
-    deadline_s: f64,
-}
-
 /// Full cell grid + windows for one mode.
 struct Plan {
-    services: Vec<ServicePlan>,
+    /// The frontier operating points at aggregate scale: STAMPS x the
+    /// single-stamp nominal, so each stamp sees the frontier's
+    /// operating point.
+    services: [ServicePlan; 3],
     multipliers: Vec<f64>,
     /// Multiplier the failover cells run at (sub-knee: the surviving
     /// stamps must have headroom to absorb redirected accounts).
@@ -130,34 +95,11 @@ struct Cell {
 
 impl Plan {
     fn new(quick: bool) -> Plan {
-        let blob_bytes = if quick { 2e6 } else { 8e6 };
-        let services = vec![
-            ServicePlan {
-                service: Service::Blob,
-                workload: Workload::BlobGet { blob_bytes },
-                nominal_ops_s: STAMPS as f64 * 400e6 / blob_bytes,
-                deadline_s: if quick { 1.0 } else { 4.0 },
-            },
-            ServicePlan {
-                service: Service::Table,
-                workload: Workload::TableQuery {
-                    entities: 512,
-                    entity_kb: 4,
-                },
-                nominal_ops_s: STAMPS as f64 * 3900.0,
-                deadline_s: 0.08,
-            },
-            ServicePlan {
-                service: Service::Queue,
-                workload: Workload::QueueAdd {
-                    message_bytes: 512.0,
-                },
-                nominal_ops_s: STAMPS as f64 * 585.0,
-                deadline_s: 0.5,
-            },
-        ];
         Plan {
-            services,
+            services: ServicePlan::frontier(quick).map(|sp| ServicePlan {
+                nominal_ops_s: STAMPS as f64 * sp.nominal_ops_s,
+                ..sp
+            }),
             multipliers: if quick {
                 vec![0.85, 1.0]
             } else {
@@ -292,7 +234,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             // the skewed hot stamp sheds, the cold ones do not — the
             // signal the rebalancer keys on.
             base.admission = azstore::AdmissionConfig::TokenBucket {
-                rate_ops_s: 585.0,
+                rate_ops_s: azstore::calib::QUEUE_NOMINAL_OPS_S,
                 burst: 32.0,
             };
         }
@@ -308,15 +250,11 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         .zip(&cells)
         .map(|(r, c)| {
             let sp = &plan.services[c.si];
-            let unit_scale = match sp.service {
-                Service::Blob => sp.workload.bytes_per_op() / 1e6,
-                _ => 1.0,
-            };
             Point {
-                service: sp.service,
+                service: sp.service(),
                 kind: c.kind,
                 multiplier: c.multiplier,
-                unit_scale,
+                unit_scale: sp.unit_scale(),
                 r,
             }
         })
@@ -446,7 +384,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     for sp in &plan.services {
         let sweep: Vec<&Point> = points
             .iter()
-            .filter(|p| p.service == sp.service && p.kind == Kind::Clean)
+            .filter(|p| p.service == sp.service() && p.kind == Kind::Clean)
             .collect();
         let peak = sweep.iter().map(|p| p.goodput()).fold(0.0, f64::max);
         let best = sweep
@@ -462,22 +400,22 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             .collect();
         share_lines.push_str(&format!(
             "  {}: aggregate peak {} {unit} at {:.2}x nominal; per-stamp share [{}] (single-stamp Fig 1-3 peak x{} = {} {unit})\n",
-            sp.service.name(),
+            sp.service().name(),
             num(peak, 1),
             best.multiplier,
             shares.join(", "),
             STAMPS,
             num(
-                match sp.service {
+                match sp.service() {
                     Service::Blob => anchors::GEO_BLOB_AGGREGATE_MBPS.paper,
                     Service::Table => anchors::GEO_TABLE_AGGREGATE_OPS.paper,
                     Service::Queue => anchors::GEO_QUEUE_AGGREGATE_OPS.paper,
                 },
                 1
             ),
-            unit = sp.service.unit(),
+            unit = sp.service().unit(),
         ));
-        let a = match sp.service {
+        let a = match sp.service() {
             Service::Blob => anchors::GEO_BLOB_AGGREGATE_MBPS,
             Service::Table => anchors::GEO_TABLE_AGGREGATE_OPS,
             Service::Queue => anchors::GEO_QUEUE_AGGREGATE_OPS,

@@ -27,27 +27,9 @@ use cloudbench::experiments::stamp_config;
 use simcore::report::{num, AsciiTable, Csv};
 use simfault::{FaultEpisode, FaultKind, FaultPlan};
 use simlab::{anchor, run_cells, RunOpts};
-use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig, ShedRetry, Workload};
+use simload::{run_open_loop, ArrivalProcess, LoadCellResult, LoadConfig, ShedRetry};
 
-use super::CampaignOutput;
-
-/// The three gated services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Service {
-    Blob,
-    Table,
-    Queue,
-}
-
-impl Service {
-    fn name(self) -> &'static str {
-        match self {
-            Service::Blob => "blob",
-            Service::Table => "table",
-            Service::Queue => "queue",
-        }
-    }
-}
+use super::{CampaignOutput, Service, ServicePlan};
 
 /// The swept admission policies (plus the no-policy baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,14 +97,6 @@ impl Policy {
     }
 }
 
-/// Per-service sweep parameters (nominals match the frontier plan).
-struct ServicePlan {
-    service: Service,
-    workload: Workload,
-    nominal_ops_s: f64,
-    deadline_s: f64,
-}
-
 /// One cell of the grid.
 #[derive(Clone)]
 struct Cell {
@@ -154,35 +128,12 @@ impl Plan {
         };
         // Quick mode sweeps the queue service only (the cheapest ops),
         // keeping the CI grid at 30 cells; full mode covers all three
-        // services. Nominal rates and deadlines match the frontier plan
-        // so "1.3x" means the same thing in both campaigns.
-        let blob_bytes = 8e6;
-        let mut services = Vec::new();
-        if !quick {
-            services.push(ServicePlan {
-                service: Service::Blob,
-                workload: Workload::BlobGet { blob_bytes },
-                nominal_ops_s: 400e6 / blob_bytes,
-                deadline_s: 4.0,
-            });
-            services.push(ServicePlan {
-                service: Service::Table,
-                workload: Workload::TableQuery {
-                    entities: 512,
-                    entity_kb: 4,
-                },
-                nominal_ops_s: 3900.0,
-                deadline_s: 0.08,
-            });
-        }
-        services.push(ServicePlan {
-            service: Service::Queue,
-            workload: Workload::QueueAdd {
-                message_bytes: 512.0,
-            },
-            nominal_ops_s: 585.0,
-            deadline_s: 0.5,
-        });
+        // services. The services are the frontier's full-mode operating
+        // points, so "1.3x" means the same thing in both campaigns.
+        let services = ServicePlan::frontier(false)
+            .into_iter()
+            .filter(|sp| !quick || sp.service() == Service::Queue)
+            .collect();
         let mut loads = vec![(1.0, ArrivalProcess::Poisson)];
         if !quick {
             loads.push((1.15, ArrivalProcess::Poisson));
@@ -308,7 +259,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         .into_iter()
         .zip(&cells)
         .map(|(cell, c)| Point {
-            service: plan.services[c.si].service,
+            service: plan.services[c.si].service(),
             policy: c.policy,
             process: c.process.name(),
             multiplier: c.multiplier,
@@ -432,13 +383,13 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let mut lines = String::new();
     let mut checks = Vec::new();
     for sp in &plan.services {
-        let (base_clean, base_storm) = verdict_goodput(sp.service, Policy::None);
+        let (base_clean, base_storm) = verdict_goodput(sp.service(), Policy::None);
         let base = (base_clean + base_storm) / 2.0;
         let (winner, win_clean, win_storm) = POLICIES
             .iter()
             .filter(|&&pl| pl != Policy::None)
             .map(|&pl| {
-                let (c, s) = verdict_goodput(sp.service, pl);
+                let (c, s) = verdict_goodput(sp.service(), pl);
                 (pl, c, s)
             })
             .fold(
@@ -461,7 +412,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
         };
         lines.push_str(&format!(
             "  {}: winner '{}' at 1.3x bursty — mean goodput {} vs baseline {} ops/s ({}x gain; >= 1.5x required); clean {} vs {}, under front-end storm {} vs {}\n",
-            sp.service.name(),
+            sp.service().name(),
             winner.name(),
             num(win, 1),
             num(base, 1),
@@ -471,7 +422,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
             num(win_storm, 1),
             num(base_storm, 1),
         ));
-        let a = match sp.service {
+        let a = match sp.service() {
             Service::Blob => anchors::SHEDDING_BLOB_GOODPUT_GAIN,
             Service::Table => anchors::SHEDDING_TABLE_GOODPUT_GAIN,
             Service::Queue => anchors::SHEDDING_QUEUE_GOODPUT_GAIN,

@@ -195,11 +195,6 @@ impl Topology {
             .await
     }
 
-    /// Pick a host uniformly at random.
-    pub fn random_host(&self, rng: &mut SimRng) -> HostId {
-        HostId(rng.usize_below(self.hosts.len()))
-    }
-
     /// Pick an ordered pair of distinct hosts uniformly at random.
     pub fn random_pair(&self, rng: &mut SimRng) -> (HostId, HostId) {
         let a = rng.usize_below(self.hosts.len());

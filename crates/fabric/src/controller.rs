@@ -259,15 +259,6 @@ impl Deployment {
             .count()
     }
 
-    /// Instances currently Provisioning (capacity bought, not yet live).
-    pub fn provisioning_count(&self) -> usize {
-        self.instances
-            .borrow()
-            .iter()
-            .filter(|inst| inst.status.get() == InstanceStatus::Provisioning)
-            .count()
-    }
-
     /// Host assignment of instance `i`.
     pub fn host_of(&self, i: usize) -> usize {
         self.instances.borrow()[i].host

@@ -4,36 +4,20 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-justify (labels).
-    Left,
-    /// Right-justify (numbers).
-    Right,
-}
-
-/// A simple monospace table builder.
+/// A simple monospace table builder. The first column (labels) is
+/// left-justified, the rest (numbers) right-justified.
 pub struct AsciiTable {
     title: Option<String>,
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl AsciiTable {
-    /// Start a table with the given column headers; all columns default to
-    /// right alignment except the first.
+    /// Start a table with the given column headers.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let mut aligns = vec![Align::Right; headers.len()];
-        if !aligns.is_empty() {
-            aligns[0] = Align::Left;
-        }
         AsciiTable {
             title: None,
-            headers,
-            aligns,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -41,13 +25,6 @@ impl AsciiTable {
     /// Set a title rendered above the table.
     pub fn with_title(mut self, title: impl Into<String>) -> Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Override per-column alignment.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.headers.len());
-        self.aligns = aligns;
         self
     }
 
@@ -97,13 +74,10 @@ impl AsciiTable {
             for i in 0..ncols {
                 let cell = &cells[i];
                 let w = widths[i];
-                match self.aligns[i] {
-                    Align::Left => {
-                        let _ = write!(out, " {cell:<w$} ");
-                    }
-                    Align::Right => {
-                        let _ = write!(out, " {cell:>w$} ");
-                    }
+                if i == 0 {
+                    let _ = write!(out, " {cell:<w$} ");
+                } else {
+                    let _ = write!(out, " {cell:>w$} ");
                 }
                 if i + 1 < ncols {
                     out.push('|');
@@ -156,11 +130,6 @@ impl Csv {
     /// The document so far.
     pub fn as_str(&self) -> &str {
         &self.buf
-    }
-
-    /// Consume into the document string.
-    pub fn into_string(self) -> String {
-        self.buf
     }
 }
 

@@ -120,11 +120,6 @@ impl SampleSet {
         self.values.push(v);
     }
 
-    /// Convenience: record a duration in seconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.values.push(d.as_secs_f64());
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.values.len()

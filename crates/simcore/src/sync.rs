@@ -56,16 +56,6 @@ impl Semaphore {
         self.st.permits.get()
     }
 
-    /// Number of processes currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.st
-            .queue
-            .borrow()
-            .iter()
-            .filter(|n| n.state.get() == WAITING)
-            .count()
-    }
-
     /// Total successful acquisitions over the simulation (statistic).
     pub fn acquired_total(&self) -> u64 {
         self.st.acquired_total.get()
@@ -90,13 +80,6 @@ impl Semaphore {
             })
         } else {
             None
-        }
-    }
-
-    /// Add permits (capacity increase at runtime).
-    pub fn add_permits(&self, n: usize) {
-        for _ in 0..n {
-            release_one(&self.st);
         }
     }
 }
@@ -385,19 +368,9 @@ impl<T: 'static> Receiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.st.queue.borrow_mut().pop_front()
-    }
-
     /// Messages currently buffered.
     pub fn backlog(&self) -> usize {
         self.st.queue.borrow().len()
-    }
-
-    /// True once all senders have dropped.
-    pub fn is_closed(&self) -> bool {
-        self.st.senders.get() == 0
     }
 }
 

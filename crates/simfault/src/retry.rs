@@ -206,8 +206,10 @@ impl RetryPolicy {
     /// `attempt_timeout` when set (a timeout maps through
     /// `timeout_error` and is never retried — the 2009 SDK surfaced
     /// client timeouts directly); an `Err` that `retryable` accepts
-    /// consumes budget, bumps the counter, waits the jittered backoff
-    /// and retries. Budget exhaustion returns the last error.
+    /// consumes one of `retries`, bumps the counter, waits the jittered
+    /// backoff and retries. Running out of retries returns the last
+    /// error. This is [`run_budgeted`](Self::run_budgeted) under a
+    /// cross-call budget that never runs dry.
     ///
     /// `rng` is the caller's jitter stream; required only when
     /// `jitter != Jitter::None`.
@@ -215,8 +217,8 @@ impl RetryPolicy {
         &self,
         sim: &Sim,
         rng: Option<&RefCell<SimRng>>,
-        mut precheck: impl FnMut() -> Option<E>,
-        mut op: F,
+        precheck: impl FnMut() -> Option<E>,
+        op: F,
         retryable: impl Fn(&E) -> bool,
         timeout_error: impl Fn() -> E,
     ) -> Result<T, E>
@@ -224,40 +226,12 @@ impl RetryPolicy {
         F: FnMut(u32) -> Fut,
         Fut: Future<Output = Result<T, E>>,
     {
-        let mut attempt: u32 = 0;
-        loop {
-            if let Some(e) = precheck() {
-                return Err(e);
-            }
-            let outcome = match self.attempt_timeout {
-                Some(d) => match timeout(sim, d, op(attempt)).await {
-                    Ok(r) => r,
-                    Err(_) => return Err(timeout_error()),
-                },
-                None => op(attempt).await,
-            };
-            match outcome {
-                Ok(v) => return Ok(v),
-                Err(e) if attempt < self.retries && retryable(&e) => {
-                    if let Some(name) = self.retry_counter {
-                        simtrace::counter(name, 1);
-                    }
-                    let j = match self.jitter {
-                        Jitter::None => 1.0,
-                        Jitter::Centered => {
-                            let rng = rng.expect("jittered RetryPolicy needs an RNG stream");
-                            0.5 + rng.borrow_mut().f64()
-                        }
-                    };
-                    let wait = self.backoff.delay_s(attempt) * j;
-                    if wait > 0.0 {
-                        sim.delay(SimDuration::from_secs_f64(wait)).await;
-                    }
-                    attempt = attempt.saturating_add(1);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        // An infinite budget never runs dry, so only `retries` bounds
+        // the loop.
+        let budget = RetryBudget::new(f64::INFINITY, 0.0);
+        self.run_budgeted(sim, rng, &budget, precheck, op, retryable, timeout_error)
+            .await
+            .map_err(|(e, _)| e)
     }
 
     /// Budgeted form of [`run`](Self::run): every retry withdraws one

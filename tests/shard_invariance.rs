@@ -39,6 +39,14 @@ fn manifest_json(out: CampaignOutput) -> String {
 fn assert_shard_invariant(name: &str, faults: Option<FaultPlan>) {
     let a = run_at(name, 1, faults.clone());
     let b = run_at(name, 8, faults);
+    // `azlab bench` reports the planned count without running the
+    // campaign; it must be the count the runner executed.
+    let campaign = campaigns::canonical(name).expect("known campaign name");
+    assert_eq!(
+        a.cells,
+        (campaign.cell_count)(true),
+        "{name}: executed cell count differs from the planned cell_count"
+    );
     assert_eq!(
         a.stdout, b.stdout,
         "{name}: stdout differs between 1 and 8 shards"
