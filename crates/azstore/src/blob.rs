@@ -61,6 +61,10 @@ struct BlobState {
     next_etag: u64,
 }
 
+/// One blob's read pipes: its replica-set egress link and its
+/// partition-server front-end link.
+type ReadPipes = (LinkId, LinkId);
+
 /// Server-side blob service.
 pub struct BlobService {
     sim: Sim,
@@ -73,8 +77,9 @@ pub struct BlobService {
     // front-end ceiling is that blob's partition server inflating RTTs
     // under load. Different blobs live on different replica sets and
     // partition servers — which is exactly why §6.1 recommends
-    // replicating hot data across blobs.
-    egress_links: RefCell<HashMap<(String, String), (LinkId, LinkId)>>,
+    // replicating hot data across blobs. Keyed by container, then blob
+    // name, so a lookup borrows both.
+    egress_links: RefCell<HashMap<String, HashMap<String, ReadPipes>>>,
     rng: RefCell<SimRng>,
     gets: std::cell::Cell<u64>,
     puts: std::cell::Cell<u64>,
@@ -162,9 +167,14 @@ impl BlobService {
 
     /// The replica-set egress pipe and partition-server front-end of one
     /// blob (created on first use).
-    fn read_pipes_of(&self, container: &str, name: &str) -> (LinkId, LinkId) {
-        let key = (container.to_string(), name.to_string());
-        if let Some(&pair) = self.egress_links.borrow().get(&key) {
+    fn read_pipes_of(&self, container: &str, name: &str) -> ReadPipes {
+        let known = self
+            .egress_links
+            .borrow()
+            .get(container)
+            .and_then(|blobs| blobs.get(name))
+            .copied();
+        if let Some(pair) = known {
             return pair;
         }
         let egress = self.net.add_link(
@@ -190,7 +200,9 @@ impl BlobService {
         );
         self.egress_links
             .borrow_mut()
-            .insert(key, (egress, frontend));
+            .entry(container.to_string())
+            .or_default()
+            .insert(name.to_string(), (egress, frontend));
         (egress, frontend)
     }
 

@@ -90,6 +90,15 @@ struct QueuePerf {
     recv_station: Rc<LoadedStation>,
 }
 
+/// The named queue, created empty on first use. Looks up before it
+/// inserts, so the name is copied only the first time.
+fn queue_mut<'a>(queues: &'a mut HashMap<String, QueueData>, queue: &str) -> &'a mut QueueData {
+    if !queues.contains_key(queue) {
+        queues.insert(queue.to_string(), QueueData::default());
+    }
+    queues.get_mut(queue).expect("inserted above")
+}
+
 /// Server-side queue service.
 pub struct QueueService {
     sim: Sim,
@@ -162,7 +171,7 @@ impl QueueService {
     pub fn seed_messages(&self, queue: &str, n: usize, size: f64) {
         let now = self.sim.now();
         let mut queues = self.queues.borrow_mut();
-        let q = queues.entry(queue.to_string()).or_default();
+        let q = queue_mut(&mut queues, queue);
         for _ in 0..n {
             let id = self.next_id.get();
             self.next_id.set(id + 1);
@@ -180,6 +189,18 @@ impl QueueService {
     }
 
     fn perf_of(&self, queue: &str) -> Rc<QueuePerf> {
+        if let Some(perf) = self.perf.borrow().get(queue) {
+            return Rc::clone(perf);
+        }
+        let perf = Rc::new(self.new_perf());
+        self.perf
+            .borrow_mut()
+            .insert(queue.to_string(), Rc::clone(&perf));
+        perf
+    }
+
+    /// The stations and latches of one queue's partition server.
+    fn new_perf(&self) -> QueuePerf {
         let j = self.cfg.jitter_sigma;
         let nscale = |n: f64| {
             if self.cfg.ablate_no_latch_inflation {
@@ -189,58 +210,55 @@ impl QueueService {
             }
         };
         let cap = &self.cfg.capacity;
-        let mut perf = self.perf.borrow_mut();
-        Rc::clone(perf.entry(queue.to_string()).or_insert_with(|| {
-            Rc::new(QueuePerf {
-                add_latch: Rc::new(
-                    ContendedLatch::new(
-                        &self.sim,
-                        calib::QUEUE_ADD_HOLD_S,
-                        nscale(calib::QUEUE_ADD_HOLD_NSCALE),
-                        j,
-                        calib::TABLE_BUSY_QUEUE_LIMIT,
-                    )
-                    .with_capacity(cap.clone()),
-                ),
-                recv_latch: Rc::new(
-                    ContendedLatch::new(
-                        &self.sim,
-                        calib::QUEUE_RECV_HOLD_S,
-                        nscale(calib::QUEUE_RECV_HOLD_NSCALE),
-                        j,
-                        calib::TABLE_BUSY_QUEUE_LIMIT,
-                    )
-                    .with_capacity(cap.clone()),
-                ),
-                peek_station: Rc::new(
-                    LoadedStation::new(
-                        &self.sim,
-                        calib::QUEUE_PEEK_BASE_S,
-                        calib::QUEUE_PEEK_LOAD_S,
-                        j,
-                    )
-                    .with_capacity(cap.clone()),
-                ),
-                add_station: Rc::new(
-                    LoadedStation::new(
-                        &self.sim,
-                        calib::QUEUE_ADD_BASE_S,
-                        calib::QUEUE_ADD_LOAD_S,
-                        j,
-                    )
-                    .with_capacity(cap.clone()),
-                ),
-                recv_station: Rc::new(
-                    LoadedStation::new(
-                        &self.sim,
-                        calib::QUEUE_RECV_BASE_S,
-                        calib::QUEUE_RECV_LOAD_S,
-                        j,
-                    )
-                    .with_capacity(cap.clone()),
-                ),
-            })
-        }))
+        QueuePerf {
+            add_latch: Rc::new(
+                ContendedLatch::new(
+                    &self.sim,
+                    calib::QUEUE_ADD_HOLD_S,
+                    nscale(calib::QUEUE_ADD_HOLD_NSCALE),
+                    j,
+                    calib::TABLE_BUSY_QUEUE_LIMIT,
+                )
+                .with_capacity(cap.clone()),
+            ),
+            recv_latch: Rc::new(
+                ContendedLatch::new(
+                    &self.sim,
+                    calib::QUEUE_RECV_HOLD_S,
+                    nscale(calib::QUEUE_RECV_HOLD_NSCALE),
+                    j,
+                    calib::TABLE_BUSY_QUEUE_LIMIT,
+                )
+                .with_capacity(cap.clone()),
+            ),
+            peek_station: Rc::new(
+                LoadedStation::new(
+                    &self.sim,
+                    calib::QUEUE_PEEK_BASE_S,
+                    calib::QUEUE_PEEK_LOAD_S,
+                    j,
+                )
+                .with_capacity(cap.clone()),
+            ),
+            add_station: Rc::new(
+                LoadedStation::new(
+                    &self.sim,
+                    calib::QUEUE_ADD_BASE_S,
+                    calib::QUEUE_ADD_LOAD_S,
+                    j,
+                )
+                .with_capacity(cap.clone()),
+            ),
+            recv_station: Rc::new(
+                LoadedStation::new(
+                    &self.sim,
+                    calib::QUEUE_RECV_BASE_S,
+                    calib::QUEUE_RECV_LOAD_S,
+                    j,
+                )
+                .with_capacity(cap.clone()),
+            ),
+        }
     }
 
     fn bump(&self) {
@@ -308,10 +326,7 @@ impl QueueClient {
             let id = svc.next_id.get();
             svc.next_id.set(id + 1);
             let now = svc.sim.now();
-            svc.queues
-                .borrow_mut()
-                .entry(queue.to_string())
-                .or_default()
+            queue_mut(&mut svc.queues.borrow_mut(), queue)
                 .messages
                 .insert(
                     (now, id),

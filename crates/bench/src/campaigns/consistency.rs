@@ -195,8 +195,7 @@ impl Plan {
             });
         }
         for (si, _) in self.services.iter().enumerate() {
-            for (pi, &placement) in self.placements.iter().enumerate() {
-                let _ = pi;
+            for &placement in &self.placements {
                 for (mi, _) in self.modes.iter().enumerate() {
                     cells.push(Cell {
                         si,

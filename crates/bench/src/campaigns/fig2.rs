@@ -95,7 +95,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let stdout = format!("{}\n{}", result.render(), summary);
     CampaignOutput {
         name: "fig2",
-        cells: cell_count(quick),
+        cells: result.cells() + cliff.cells(),
         stdout,
         files: vec![
             ("fig2.csv".to_string(), csv.as_str().to_string()),

@@ -90,7 +90,7 @@ pub fn run(quick: bool, opts: &RunOpts) -> CampaignOutput {
     let stdout = format!("{}\n{}", result.render(), block);
     CampaignOutput {
         name: "fig3",
-        cells: cell_count(quick),
+        cells: result.rows.len() + rates.len(),
         stdout,
         files: vec![
             ("fig3.csv".to_string(), csv.as_str().to_string()),

@@ -138,6 +138,11 @@ pub struct TableScalingResult {
 }
 
 impl TableScalingResult {
+    /// Cells executed: each yields one row per op.
+    pub fn cells(&self) -> usize {
+        self.rows.len() / TableOp::ALL.len()
+    }
+
     /// Cell lookup.
     pub fn at(&self, op: TableOp, clients: usize) -> Option<&TableScalingRow> {
         self.rows

@@ -132,8 +132,11 @@ impl std::fmt::Display for Elapsed {
 impl std::error::Error for Elapsed {}
 
 /// Run `fut` but give up (dropping it) if `d` of virtual time passes first.
+///
+/// `fut` is pinned in this future's own frame, so the race allocates
+/// nothing; `fut` is dropped when this future returns or is dropped.
 pub async fn timeout<F: Future>(sim: &Sim, d: SimDuration, fut: F) -> Result<F::Output, Elapsed> {
-    let fut = Box::pin(fut);
+    let fut = std::pin::pin!(fut);
     let delay = sim.delay(d);
     match select2(fut, delay).await {
         Either::Left(v) => Ok(v),

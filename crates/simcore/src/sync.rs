@@ -21,14 +21,57 @@ const WAITING: u8 = 0;
 const GRANTED: u8 = 1;
 const CANCELLED: u8 = 2;
 
+/// One queued acquire. A node is referenced by the FIFO while it waits
+/// and by its [`Acquire`] until that picks its permit up or is dropped;
+/// whichever lets go last frees the slot.
 struct WaitNode {
-    state: Cell<u8>,
-    waker: RefCell<Option<Waker>>,
+    state: u8,
+    waker: Option<Waker>,
+}
+
+/// The wait queue: FIFO of slot indices into a slab of nodes whose
+/// freed slots are reused, so a queued acquire allocates nothing once
+/// the slab has grown to the queue's peak.
+#[derive(Default)]
+struct Waiters {
+    fifo: VecDeque<u32>,
+    nodes: Vec<WaitNode>,
+    free: Vec<u32>,
+}
+
+impl Waiters {
+    fn push(&mut self, waker: Waker) -> u32 {
+        let node = WaitNode {
+            state: WAITING,
+            waker: Some(waker),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("more than u32::MAX queued acquires")
+            }
+        };
+        self.fifo.push_back(slot);
+        slot
+    }
+
+    fn node(&mut self, slot: u32) -> &mut WaitNode {
+        &mut self.nodes[slot as usize]
+    }
+
+    fn vacate(&mut self, slot: u32) {
+        self.node(slot).waker = None;
+        self.free.push(slot);
+    }
 }
 
 struct SemState {
     permits: Cell<usize>,
-    queue: RefCell<VecDeque<Rc<WaitNode>>>,
+    waiters: RefCell<Waiters>,
     acquired_total: Cell<u64>,
 }
 
@@ -45,7 +88,7 @@ impl Semaphore {
         Semaphore {
             st: Rc::new(SemState {
                 permits: Cell::new(permits),
-                queue: RefCell::new(VecDeque::new()),
+                waiters: RefCell::default(),
                 acquired_total: Cell::new(0),
             }),
         }
@@ -65,34 +108,46 @@ impl Semaphore {
     pub fn acquire(&self) -> Acquire {
         Acquire {
             sem: Rc::clone(&self.st),
-            node: None,
+            slot: None,
             done: false,
         }
     }
 
     /// Take a permit immediately if one is free and nobody is queued.
     pub fn try_acquire(&self) -> Option<Permit> {
-        if self.st.permits.get() > 0 && self.st.queue.borrow().is_empty() {
-            self.st.permits.set(self.st.permits.get() - 1);
-            self.st.acquired_total.set(self.st.acquired_total.get() + 1);
-            Some(Permit {
-                sem: Rc::clone(&self.st),
-            })
+        self.st.take_if_unqueued().then(|| Permit {
+            sem: Rc::clone(&self.st),
+        })
+    }
+}
+
+impl SemState {
+    /// Take a free permit if nobody is queued (FIFO), counting it.
+    fn take_if_unqueued(&self) -> bool {
+        if self.permits.get() > 0 && self.waiters.borrow().fifo.is_empty() {
+            self.permits.set(self.permits.get() - 1);
+            self.acquired_total.set(self.acquired_total.get() + 1);
+            true
         } else {
-            None
+            false
         }
     }
 }
 
 /// Hand the released permit to the first live waiter, else bank it.
-fn release_one(st: &Rc<SemState>) {
-    let mut queue = st.queue.borrow_mut();
-    while let Some(node) = queue.pop_front() {
-        if node.state.get() == CANCELLED {
+/// Cancelled waiters met on the way are freed.
+fn release_one(st: &SemState) {
+    let mut waiters = st.waiters.borrow_mut();
+    while let Some(slot) = waiters.fifo.pop_front() {
+        let node = waiters.node(slot);
+        if node.state == CANCELLED {
+            waiters.vacate(slot);
             continue;
         }
-        node.state.set(GRANTED);
-        if let Some(w) = node.waker.borrow_mut().take() {
+        node.state = GRANTED;
+        let waker = node.waker.take();
+        drop(waiters);
+        if let Some(w) = waker {
             w.wake();
         }
         return;
@@ -114,7 +169,7 @@ impl Drop for Permit {
 /// Future returned by [`Semaphore::acquire`].
 pub struct Acquire {
     sem: Rc<SemState>,
-    node: Option<Rc<WaitNode>>,
+    slot: Option<u32>,
     done: bool,
 }
 
@@ -123,41 +178,37 @@ impl Future for Acquire {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Permit> {
         assert!(!self.done, "Acquire polled after completion");
-        if let Some(node) = &self.node {
-            match node.state.get() {
+        let this = &mut *self;
+        if let Some(slot) = this.slot {
+            let mut waiters = this.sem.waiters.borrow_mut();
+            let node = waiters.node(slot);
+            match node.state {
                 GRANTED => {
-                    self.done = true;
-                    self.sem
+                    waiters.vacate(slot);
+                    drop(waiters);
+                    this.slot = None;
+                    this.done = true;
+                    this.sem
                         .acquired_total
-                        .set(self.sem.acquired_total.get() + 1);
+                        .set(this.sem.acquired_total.get() + 1);
                     Poll::Ready(Permit {
-                        sem: Rc::clone(&self.sem),
+                        sem: Rc::clone(&this.sem),
                     })
                 }
                 WAITING => {
-                    *node.waker.borrow_mut() = Some(cx.waker().clone());
+                    node.waker = Some(cx.waker().clone());
                     Poll::Pending
                 }
                 _ => unreachable!("polled a cancelled Acquire"),
             }
+        } else if this.sem.take_if_unqueued() {
+            this.done = true;
+            Poll::Ready(Permit {
+                sem: Rc::clone(&this.sem),
+            })
         } else {
-            // Fast path only when nobody is already queued (FIFO).
-            if self.sem.permits.get() > 0 && self.sem.queue.borrow().is_empty() {
-                self.sem.permits.set(self.sem.permits.get() - 1);
-                self.sem
-                    .acquired_total
-                    .set(self.sem.acquired_total.get() + 1);
-                self.done = true;
-                return Poll::Ready(Permit {
-                    sem: Rc::clone(&self.sem),
-                });
-            }
-            let node = Rc::new(WaitNode {
-                state: Cell::new(WAITING),
-                waker: RefCell::new(Some(cx.waker().clone())),
-            });
-            self.sem.queue.borrow_mut().push_back(Rc::clone(&node));
-            self.node = Some(node);
+            let slot = this.sem.waiters.borrow_mut().push(cx.waker().clone());
+            this.slot = Some(slot);
             Poll::Pending
         }
     }
@@ -165,17 +216,25 @@ impl Future for Acquire {
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if self.done {
+        let Some(slot) = self.slot else {
             return;
-        }
-        if let Some(node) = &self.node {
-            match node.state.get() {
-                WAITING => node.state.set(CANCELLED),
-                // Permit was granted but never picked up: pass it on so it
-                // isn't lost (cancel-safety invariant).
-                GRANTED => release_one(&self.sem),
-                _ => {}
+        };
+        let mut waiters = self.sem.waiters.borrow_mut();
+        let node = waiters.node(slot);
+        match node.state {
+            // Still queued: the FIFO frees the slot when it reaches it.
+            WAITING => {
+                node.state = CANCELLED;
+                node.waker = None;
             }
+            // Permit was granted but never picked up: pass it on so it
+            // isn't lost (cancel-safety invariant).
+            GRANTED => {
+                waiters.vacate(slot);
+                drop(waiters);
+                release_one(&self.sem);
+            }
+            _ => {}
         }
     }
 }

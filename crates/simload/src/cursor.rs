@@ -56,13 +56,13 @@ where
     let now = sim.now();
     let due = instants.partition_point(|&t| instant(offset_s + t) <= now);
     for (i, &t) in instants[..due].iter().enumerate() {
-        sim.spawn(task(i, t));
+        sim.spawn_detached(task(i, t));
     }
     if due == instants.len() {
         return;
     }
     let s = sim.clone();
-    sim.spawn(async move {
+    sim.spawn_detached(async move {
         let base = s.reserve_seqs((instants.len() - due) as u64);
         for (j, &t) in instants.iter().enumerate().skip(due) {
             SeqWake {
@@ -72,7 +72,7 @@ where
                 armed: None,
             }
             .await;
-            s.spawn(task(j, t));
+            s.spawn_detached(task(j, t));
         }
     });
 }

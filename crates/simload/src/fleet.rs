@@ -16,6 +16,7 @@
 //! throttle caps the offered aggregate.
 
 use std::cell::{Cell, RefCell};
+use std::fmt::Write;
 use std::rc::Rc;
 
 use azstore::{Entity, StampConfig, StorageAccountClient, StorageError, StorageStamp};
@@ -317,21 +318,80 @@ pub async fn fire(
         Workload::BlobGet { .. } => client.blob.get("load", "blob").await.map(|_| ()),
         Workload::TableQuery { entities, .. } => {
             let j = i % entities;
-            let pk = format!("p{}", j % TABLE_PARTITIONS);
-            let rk = format!("r{j}");
-            client.table.query_point("load", &pk, &rk).await.map(|_| ())
+            let pk = KeyBuf::format(format_args!("p{}", j % TABLE_PARTITIONS));
+            let rk = KeyBuf::format(format_args!("r{j}"));
+            client
+                .table
+                .query_point("load", pk.as_str(), rk.as_str())
+                .await
+                .map(|_| ())
         }
         Workload::QueueAdd { message_bytes } => client
             .queue
-            .add("load", format!("m{i}"), message_bytes)
+            .add("load", message_body(i), message_bytes)
             .await
             .map(|_| ()),
+    }
+}
+
+/// The body of arrival `i`'s message, `m{i}`, in one allocation of
+/// exactly its length: the queue keeps every body, so slack would count
+/// in peak memory.
+fn message_body(i: usize) -> String {
+    let digits = i.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut body = String::with_capacity(1 + digits);
+    write!(body, "m{i}").expect("writing to a String cannot fail");
+    body
+}
+
+/// A short key formatted on the stack, for a lookup that only borrows
+/// it: `p` or `r` and a `usize` take at most 21 bytes.
+struct KeyBuf {
+    buf: [u8; 24],
+    len: usize,
+}
+
+impl KeyBuf {
+    fn format(args: std::fmt::Arguments<'_>) -> Self {
+        let mut key = KeyBuf {
+            buf: [0; 24],
+            len: 0,
+        };
+        key.write_fmt(args).expect("key longer than 24 bytes");
+        key
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("formatted keys are UTF-8")
+    }
+}
+
+impl Write for KeyBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.buf
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_and_bodies_match_their_format() {
+        for i in [0, 7, 9, 10, 99, 100, 123_456, usize::MAX] {
+            let body = message_body(i);
+            assert_eq!(body, format!("m{i}"));
+            assert_eq!(body.capacity(), body.len(), "body of {i} has slack");
+            let key = KeyBuf::format(format_args!("r{i}"));
+            assert_eq!(key.as_str(), format!("r{i}"));
+        }
+    }
 
     fn cell(seed: u64, offered: f64) -> LoadCellResult {
         let sim = Sim::new(seed);
