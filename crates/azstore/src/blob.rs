@@ -577,16 +577,26 @@ mod tests {
 
     #[test]
     fn put_then_get_roundtrip() {
-        let (sim, stamp) = setup(1);
-        let c = stamp.attach_small_client();
-        let h = sim.spawn(async move {
-            c.blob.put("data", "x", 1.0e6).await.unwrap();
-            c.blob.get("data", "x").await.unwrap()
-        });
-        sim.run();
-        let dl = h.try_take().unwrap();
-        assert_eq!(dl.bytes, 1.0e6);
-        assert!(dl.elapsed > SimDuration::ZERO);
+        for (blobs, bytes) in [(1, 1.0e6), (100, 1.0e5)] {
+            let (sim, stamp) = setup(1);
+            let c = stamp.attach_small_client();
+            let h = sim.spawn(async move {
+                let mut downloads = Vec::new();
+                for i in 0..blobs {
+                    let name = format!("b{i}");
+                    c.blob.put("data", &name, bytes).await.unwrap();
+                    downloads.push(c.blob.get("data", &name).await.unwrap());
+                }
+                downloads
+            });
+            sim.run();
+            let downloads = h.try_take().unwrap();
+            assert_eq!(downloads.len(), blobs);
+            for dl in downloads {
+                assert_eq!(dl.bytes, bytes);
+                assert!(dl.elapsed > SimDuration::ZERO);
+            }
+        }
     }
 
     #[test]

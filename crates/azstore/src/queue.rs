@@ -645,21 +645,24 @@ mod tests {
 
     #[test]
     fn fifo_delivery_order() {
-        let (sim, stamp) = setup(2);
-        let c = stamp.attach_small_client();
-        let h = sim.spawn(async move {
-            for i in 0..5 {
-                c.queue.add("q", format!("m{i}"), 512.0).await.unwrap();
-            }
-            let mut seen = Vec::new();
-            while let Some(m) = c.queue.receive_default("q").await.unwrap() {
-                seen.push(m.message.body.clone());
-                c.queue.delete_message("q", m.receipt).await.unwrap();
-            }
-            seen
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), vec!["m0", "m1", "m2", "m3", "m4"]);
+        for n in [5, 200] {
+            let (sim, stamp) = setup(2);
+            let c = stamp.attach_small_client();
+            let h = sim.spawn(async move {
+                for i in 0..n {
+                    c.queue.add("q", format!("m{i}"), 512.0).await.unwrap();
+                }
+                let mut seen = Vec::new();
+                while let Some(m) = c.queue.receive_default("q").await.unwrap() {
+                    seen.push(m.message.body.clone());
+                    c.queue.delete_message("q", m.receipt).await.unwrap();
+                }
+                seen
+            });
+            sim.run();
+            let want: Vec<String> = (0..n).map(|i| format!("m{i}")).collect();
+            assert_eq!(h.try_take().unwrap(), want);
+        }
     }
 
     #[test]

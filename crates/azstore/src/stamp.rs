@@ -306,6 +306,7 @@ pub struct StorageAccountClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Entity;
 
     #[test]
     fn stamp_builds_and_attaches_clients() {
@@ -315,6 +316,22 @@ mod tests {
         let c2 = stamp.attach_small_client();
         // Distinct clients get distinct throttle links.
         assert_ne!(c1.blob.ingress_link(), c2.blob.ingress_link());
+
+        // 64 attached clients insert concurrently through the latches,
+        // and the service counts every insert once.
+        let sim = Sim::new(4);
+        let stamp = StorageStamp::standalone(&sim, StampConfig::default());
+        for ci in 0..64 {
+            let client = stamp.attach_small_client();
+            sim.spawn(async move {
+                for i in 0..20 {
+                    let e = Entity::benchmark("p", &format!("c{ci}-r{i}"), 4);
+                    client.table.insert("t", e).await.unwrap();
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(stamp.table_service().ops(), 64 * 20);
     }
 
     #[test]

@@ -718,17 +718,26 @@ mod tests {
 
     #[test]
     fn insert_query_roundtrip() {
-        let (sim, stamp) = setup(1);
-        let c = stamp.attach_small_client();
-        let h = sim.spawn(async move {
-            let e = Entity::benchmark("p", "r1", 1);
-            c.table.insert("t", e.clone()).await.unwrap();
-            let back = c.table.query_point("t", "p", "r1").await.unwrap();
-            assert_eq!(back, e);
-            c.table.query_point("t", "p", "r2").await
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap().unwrap_err(), StorageError::NotFound);
+        for (rows, kb) in [(1, 1), (200, 4)] {
+            let (sim, stamp) = setup(1);
+            let c = stamp.attach_small_client();
+            let h = sim.spawn(async move {
+                let entities: Vec<Entity> = (0..rows)
+                    .map(|i| Entity::benchmark("p", &format!("r{i}"), kb))
+                    .collect();
+                for e in &entities {
+                    c.table.insert("t", e.clone()).await.unwrap();
+                }
+                for e in &entities {
+                    let back = c.table.query_point("t", "p", &e.row_key).await.unwrap();
+                    assert_eq!(&back, e);
+                }
+                c.table.query_point("t", "p", "absent").await
+            });
+            sim.run();
+            assert_eq!(h.try_take().unwrap().unwrap_err(), StorageError::NotFound);
+            assert_eq!(stamp.table_service().ops(), 2 * rows as u64 + 1);
+        }
     }
 
     #[test]

@@ -279,16 +279,20 @@ mod tests {
 
     #[test]
     fn render_contains_all_rows() {
-        let cfg = BlobScalingConfig {
-            blob_bytes: 10.0e6,
-            client_counts: vec![1, 8],
-            runs: 1,
-            seed: 1,
-        };
-        let (r, _) = run(&cfg, &RunOpts::serial());
-        let s = r.render();
-        assert!(s.contains("Fig 1"));
-        assert_eq!(s.lines().count(), 1 + 2 + 2); // title + header+sep + 2 rows
+        for (blob_bytes, client_counts) in [(10.0e6, vec![1, 8]), (100.0e6, vec![32])] {
+            let rows = client_counts.len();
+            let cfg = BlobScalingConfig {
+                blob_bytes,
+                client_counts,
+                runs: 1,
+                seed: 1,
+            };
+            let (r, _) = run(&cfg, &RunOpts::serial());
+            assert_eq!(r.rows.len(), rows);
+            let s = r.render();
+            assert!(s.contains("Fig 1"));
+            assert_eq!(s.lines().count(), 1 + 2 + rows); // title + header+sep + rows
+        }
     }
 
     #[test]

@@ -445,15 +445,18 @@ mod tests {
 
     #[test]
     fn render_mentions_all_ops() {
-        let r = sweep(QueueScalingConfig {
-            message_bytes: 512.0,
-            client_counts: vec![2],
-            ops_per_client: 5,
-            seed: 1,
-        });
-        let s = r.render();
-        for op in QueueOp::ALL {
-            assert!(s.contains(&op.to_string()));
+        for (clients, ops_per_client) in [(2, 5), (32, 20)] {
+            let r = sweep(QueueScalingConfig {
+                message_bytes: 512.0,
+                client_counts: vec![clients],
+                ops_per_client,
+                seed: 1,
+            });
+            assert_eq!(r.rows.len(), QueueOp::ALL.len());
+            let s = r.render();
+            for op in QueueOp::ALL {
+                assert!(s.contains(&op.to_string()));
+            }
         }
     }
 }

@@ -593,17 +593,20 @@ mod tests {
 
     #[test]
     fn render_mentions_all_ops() {
-        let r = sweep(TableScalingConfig {
-            entity_kb: 4,
-            client_counts: vec![2],
-            inserts_per_client: 5,
-            queries_per_client: 5,
-            updates_per_client: 5,
-            seed: 3,
-        });
-        let s = r.render();
-        for op in TableOp::ALL {
-            assert!(s.contains(&op.to_string()), "missing {op} in render");
+        for (clients, inserts, queries, updates, seed) in [(2, 5, 5, 5, 3), (32, 20, 20, 10, 1)] {
+            let r = sweep(TableScalingConfig {
+                entity_kb: 4,
+                client_counts: vec![clients],
+                inserts_per_client: inserts,
+                queries_per_client: queries,
+                updates_per_client: updates,
+                seed,
+            });
+            assert_eq!(r.rows.len(), TableOp::ALL.len());
+            let s = r.render();
+            for op in TableOp::ALL {
+                assert!(s.contains(&op.to_string()), "missing {op} in render");
+            }
         }
     }
 }

@@ -347,15 +347,18 @@ mod tests {
 
     #[test]
     fn latency_render_is_cumulative() {
-        let cfg = TcpLatencyConfig {
-            pairs: 4,
-            samples_per_pair: 100,
-            seed: 7,
-        };
-        let (r, _) = run_latency(&cfg, &RunOpts::serial());
-        let s = r.render();
-        assert!(s.contains("Fig 4"));
-        assert!(s.contains("overflow"));
+        for (pairs, samples_per_pair, seed) in [(4, 100, 7), (10, 1000, 1)] {
+            let cfg = TcpLatencyConfig {
+                pairs,
+                samples_per_pair,
+                seed,
+            };
+            let (r, _) = run_latency(&cfg, &RunOpts::serial());
+            assert_eq!(r.samples_ms.len(), pairs * samples_per_pair);
+            let s = r.render();
+            assert!(s.contains("Fig 4"));
+            assert!(s.contains("overflow"));
+        }
     }
 
     #[test]

@@ -249,6 +249,11 @@ mod tests {
 
     #[test]
     fn campaign_collects_requested_successes() {
+        let cfg = VmLifecycleConfig {
+            successful_runs: 10,
+            seed: 1,
+        };
+        assert_eq!(run(&cfg, &RunOpts::serial()).0.successes, 10);
         let r = campaign();
         assert_eq!(r.successes, 160);
         // Every (role, size) cell eventually sampled.

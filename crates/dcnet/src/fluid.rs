@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn link_capacity_never_exceeded() {
-        let models = [shared(100.0), shared(30.0), shared(250.0)];
+        let models = vec![shared(100.0), shared(30.0), shared(250.0)];
         let flows: Vec<FlowSpec> = (0..20)
             .map(|i| {
                 let links: Vec<usize> = match i % 3 {
@@ -363,22 +363,47 @@ mod tests {
                 flow(if i % 5 == 0 { 3.0 } else { INF }, &links)
             })
             .collect();
-        let r = max_min_rates(&models, &flows);
-        for (l, m) in models.iter().enumerate() {
-            let used: f64 = flows
-                .iter()
-                .zip(&r)
-                .filter(|(f, _)| f.links.contains(&l))
-                .map(|(_, rate)| *rate)
-                .sum();
-            let cap = m.effective_capacity(flows.iter().filter(|f| f.links.contains(&l)).count());
-            assert!(
-                used <= cap * (1.0 + 1e-9),
-                "link {l}: used {used} > cap {cap}"
-            );
+        let mut cases = vec![(models, flows)];
+        // A storage-like stamp at the paper's client counts and beyond:
+        // a degrading shared egress, a per-flow frontend, and one
+        // throttle link per client.
+        for clients in [16usize, 64, 192, 512] {
+            let mut models = vec![
+                LinkModel::SharedDegrading {
+                    capacity: 400.0e6,
+                    knee: 128,
+                    gamma: 0.002,
+                },
+                LinkModel::PerFlow {
+                    base: 13.0e6,
+                    beta: 34.0,
+                    exponent: 0.8,
+                },
+            ];
+            models.extend((0..clients).map(|_| shared(13.0e6)));
+            let flows = (0..clients).map(|i| flow(INF, &[0, 1, 2 + i])).collect();
+            cases.push((models, flows));
         }
-        // And every flow got a positive rate.
-        assert!(r.iter().all(|&x| x > 0.0));
+        for (models, flows) in cases {
+            let r = max_min_rates(&models, &flows);
+            assert_eq!(r.len(), flows.len());
+            for (l, m) in models.iter().enumerate() {
+                let used: f64 = flows
+                    .iter()
+                    .zip(&r)
+                    .filter(|(f, _)| f.links.contains(&l))
+                    .map(|(_, rate)| *rate)
+                    .sum();
+                let n = flows.iter().filter(|f| f.links.contains(&l)).count();
+                let cap = m.effective_capacity(n);
+                assert!(
+                    used <= cap * (1.0 + 1e-9),
+                    "link {l}: used {used} > cap {cap}"
+                );
+            }
+            // And every flow got a positive rate.
+            assert!(r.iter().all(|&x| x > 0.0));
+        }
     }
 
     #[test]

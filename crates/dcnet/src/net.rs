@@ -648,25 +648,38 @@ mod tests {
 
     #[test]
     fn many_flows_all_complete_with_full_utilization() {
-        let sim = Sim::new(3);
-        let net = Network::new(&sim);
-        let l = net.add_link("pipe", shared(100.0));
-        let done = Rc::new(Cell::new(0u32));
-        for i in 0..50 {
-            let (n, d, s) = (net.clone(), done.clone(), sim.clone());
-            sim.spawn(async move {
-                s.delay(SimDuration::from_millis(i * 10)).await;
-                n.transfer(&[l], 100.0, f64::INFINITY).await;
-                d.set(d.get() + 1);
-            });
+        // (flows, pipe B/s, bytes per flow, start gap ms). Each flow
+        // alone needs longer than the gap, so the pipe never idles and
+        // the makespan is the total bytes over the capacity: 50 s, then
+        // the churn of flows joining and leaving every millisecond.
+        for (flows, capacity, bytes, gap_ms) in [
+            (50u64, 100.0, 100.0, 10u64),
+            (32, 1.0e8, 1.0e6, 1),
+            (128, 1.0e8, 1.0e6, 1),
+        ] {
+            let sim = Sim::new(3);
+            let net = Network::new(&sim);
+            let l = net.add_link("pipe", shared(capacity));
+            let done = Rc::new(Cell::new(0u64));
+            for i in 0..flows {
+                let (n, d, s) = (net.clone(), done.clone(), sim.clone());
+                sim.spawn(async move {
+                    s.delay(SimDuration::from_millis(i * gap_ms)).await;
+                    n.transfer(&[l], bytes, f64::INFINITY).await;
+                    d.set(d.get() + 1);
+                });
+            }
+            sim.run();
+            assert_eq!(done.get(), flows);
+            assert_eq!(net.flows_completed(), flows);
+            let ideal = flows as f64 * bytes / capacity;
+            let makespan = sim.now().as_secs_f64();
+            // DONE_EPS settling slack can shave nanoseconds off the ideal.
+            assert!(
+                (0.998..1.012).contains(&(makespan / ideal)),
+                "{flows} flows: makespan={makespan}, ideal={ideal}"
+            );
         }
-        sim.run();
-        assert_eq!(done.get(), 50);
-        // 50 flows x 100 B over a 100 B/s pipe: ~50 s of busy time (starts
-        // staggered over the first 0.5 s, pipe saturated throughout).
-        let makespan = sim.now().as_secs_f64();
-        // DONE_EPS settling slack can shave nanoseconds off the ideal 50 s.
-        assert!((49.9..50.6).contains(&makespan), "makespan={makespan}");
     }
 
     #[test]

@@ -266,7 +266,8 @@ impl FaasTrace {
     /// dataset's resolution floor). Apps get the dataset's published
     /// medians for memory (170 MB) and execution (0.6 s) since the
     /// percentile files ship separately. Instants beyond `horizon_s`
-    /// are clipped.
+    /// are clipped. A malformed file, including counts whose per-app
+    /// sum overflows `u64`, is an `Err`, never a panic.
     pub fn from_azure_invocations_csv(text: &str, horizon_s: f64) -> Result<FaasTrace, String> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or("empty trace file")?;
@@ -307,7 +308,10 @@ impl FaasTrace {
                     .trim()
                     .parse()
                     .map_err(|_| format!("line {}: bad count {f:?}", lineno + 1))?;
-                per_app_counts[id][m] += c;
+                let sum = &mut per_app_counts[id][m];
+                *sum = sum
+                    .checked_add(c)
+                    .ok_or_else(|| format!("line {}: {app_hash} count overflows", lineno + 1))?;
             }
         }
         if app_ids.is_empty() {
@@ -316,7 +320,10 @@ impl FaasTrace {
         let mut apps = Vec::with_capacity(app_ids.len());
         let mut invocations = Vec::new();
         for (id, counts) in per_app_counts.iter().enumerate() {
-            let total: u64 = counts.iter().sum();
+            let total = counts
+                .iter()
+                .try_fold(0u64, |t, &c| t.checked_add(c))
+                .ok_or_else(|| format!("app {}: total count overflows", app_ids[id]))?;
             for (m, &c) in counts.iter().enumerate() {
                 for i in 0..c {
                     let t_s = m as f64 * 60.0 + (i as f64 + 0.5) * 60.0 / c as f64;
@@ -469,5 +476,15 @@ mod tests {
         assert!(FaasTrace::from_azure_invocations_csv(bad_fields, 60.0).is_err());
         let bad_count = "HashOwner,HashApp,HashFunction,Trigger,1\no1,a,f,h,x\n";
         assert!(FaasTrace::from_azure_invocations_csv(bad_count, 60.0).is_err());
+        // Counts that overflow u64: two functions of one app in the same
+        // minute, and one function's minutes summed over the app.
+        let half = u64::MAX / 2 + 1;
+        let same_minute = format!(
+            "HashOwner,HashApp,HashFunction,Trigger,1\no1,a,f1,h,{half}\no1,a,f2,h,{half}\n"
+        );
+        assert!(FaasTrace::from_azure_invocations_csv(&same_minute, 60.0).is_err());
+        let over_minutes =
+            format!("HashOwner,HashApp,HashFunction,Trigger,1,2\no1,a,f,h,{half},{half}\n");
+        assert!(FaasTrace::from_azure_invocations_csv(&over_minutes, 60.0).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the serverless layer: byte-identical
 //! trace generation, three-way keepalive divergence on a fixed trace,
-//! and hybrid-histogram window bounds over arbitrary gap patterns.
+//! hybrid-histogram window bounds over arbitrary gap patterns, and the
+//! Azure Functions CSV adapter over synthetic and damaged files.
 
 use faas::policy::{PolicyKind, FIXED_WINDOW_S, MAX_KEEPALIVE_S, MIN_PREWARM_S, MIN_SAMPLES};
 use faas::{run_faas, FaasConfig, FaasResult, FaasTrace, TraceShape};
@@ -107,5 +108,86 @@ proptest! {
                 prop_assert!(w.prewarm_s.is_none());
             }
         }
+    }
+}
+
+/// A synthetic Azure Functions invocations file: one row per
+/// `(app, counts)`, the app named `app{n}`, over `minutes` minutes.
+fn azure_csv(minutes: usize, rows: &[(usize, Vec<u64>)]) -> String {
+    let mut csv = String::from("HashOwner,HashApp,HashFunction,Trigger");
+    for m in 1..=minutes {
+        csv.push_str(&format!(",{m}"));
+    }
+    for (k, (app, counts)) in rows.iter().enumerate() {
+        csv.push_str(&format!("\no{app},app{app},f{k},http"));
+        for c in &counts[..minutes] {
+            csv.push_str(&format!(",{c}"));
+        }
+    }
+    csv.push('\n');
+    csv
+}
+
+fn azure_rows() -> impl Strategy<Value = Vec<(usize, Vec<u64>)>> {
+    prop::collection::vec((0usize..4, prop::collection::vec(0u64..6, 5)), 1..10)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every per-minute count of a well-formed file becomes that many
+    /// invocations of its app inside that minute; apps are numbered in
+    /// order of first appearance and the schedule is sorted.
+    #[test]
+    fn azure_replay_accounts_for_every_count(minutes in 1usize..6, rows in azure_rows()) {
+        let t = FaasTrace::from_azure_invocations_csv(&azure_csv(minutes, &rows), 1e9).unwrap();
+        let mut order: Vec<usize> = Vec::new();
+        for (app, _) in &rows {
+            if !order.contains(app) {
+                order.push(*app);
+            }
+        }
+        prop_assert_eq!(t.apps.len(), order.len());
+        let mut want = vec![vec![0u64; minutes]; order.len()];
+        for (app, counts) in &rows {
+            let id = order.iter().position(|a| a == app).unwrap();
+            for (m, c) in counts[..minutes].iter().enumerate() {
+                want[id][m] += c;
+            }
+        }
+        let mut got = vec![vec![0u64; minutes]; order.len()];
+        for inv in &t.invocations {
+            got[inv.app][(inv.t_s / 60.0) as usize] += 1;
+        }
+        prop_assert_eq!(got, want);
+        prop_assert!(t.invocations.windows(2).all(|w| w[0].t_s <= w[1].t_s));
+    }
+
+    /// A damaged row is an error, never a panic: a missing field, a
+    /// count that is not a u64, or counts of one app and minute whose
+    /// sum overflows u64.
+    #[test]
+    fn azure_replay_rejects_damaged_rows(
+        minutes in 1usize..6,
+        rows in azure_rows(),
+        damage in 0usize..3,
+        at in 0usize..1000,
+    ) {
+        let row = 1 + at % rows.len();
+        let mut lines: Vec<String> = azure_csv(minutes, &rows).lines().map(str::to_string).collect();
+        match damage {
+            0 => {
+                let cut = lines[row].rfind(',').unwrap();
+                lines[row].truncate(cut);
+            }
+            1 => lines[row].push('x'),
+            _ => {
+                let big = format!(",{}", u64::MAX);
+                let dup = lines[row].rsplit_once(',').unwrap().0.to_string() + &big;
+                lines[row] = dup.clone();
+                lines.push(dup);
+            }
+        }
+        prop_assert!(FaasTrace::from_azure_invocations_csv(&lines.join("\n"), 1e9).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! The foundation of the Windows Azure reproduction: a single-threaded,
 //! fully deterministic discrete-event simulator whose processes are plain
 //! `async fn`s. Model code awaits virtual-time primitives ([`Sim::delay`],
-//! [`sync::Semaphore`], [`sync::channel`]) and the engine interleaves
+//! [`sync::Semaphore`], [`sync::Signal`]) and the engine interleaves
 //! processes in a total `(time, sequence)` order, so a run is a pure
 //! function of its seed.
 //!
@@ -11,7 +11,7 @@
 //! * [`time`] — `SimTime` / `SimDuration` (u64 nanoseconds)
 //! * [`sim`] — the engine: clock, spawning, cancellable events
 //! * [`queue`] — the event queue: indexed min-heap with eager removal
-//! * [`sync`] — FIFO semaphore, one-shot signal, unbounded MPMC channel
+//! * [`sync`] — FIFO semaphore, one-shot signal
 //! * [`combinators`] — `select2`, `join_all`, `timeout`
 //! * [`rng`] — per-component deterministic RNG streams
 //! * [`dist`] — distributions (normal, lognormal, Pareto, empirical, …)
@@ -63,6 +63,6 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::sim::{JoinHandle, Sim};
     pub use crate::stats::{DailySeries, Histogram, OnlineStats, SampleSet};
-    pub use crate::sync::{channel, Permit, Receiver, Semaphore, Sender, Signal};
+    pub use crate::sync::{Permit, Semaphore, Signal};
     pub use crate::time::{SimDuration, SimTime};
 }

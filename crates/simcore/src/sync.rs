@@ -1,10 +1,11 @@
 //! Synchronization primitives for simulation processes.
 //!
-//! These mirror the shapes of `tokio::sync` but are single-threaded and
-//! deterministic: wait queues are strict FIFO, so given the same seed the
-//! same process always wins a contended resource. All of them are
-//! cancel-safe — dropping a pending future never loses a permit or a
-//! message (the invariants the property tests at the bottom check).
+//! A FIFO [`Semaphore`] and a one-shot [`Signal`]. They mirror the
+//! shapes of `tokio::sync` but are single-threaded and deterministic:
+//! the wait queue is strict FIFO, so given the same seed the same
+//! process always wins a contended resource. Both are cancel-safe —
+//! dropping a pending future never loses a permit (the invariant the
+//! tests at the bottom check).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -313,203 +314,6 @@ impl Future for SignalWait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Channel (unbounded MPMC)
-// ---------------------------------------------------------------------------
-
-struct RecvNode<T> {
-    slot: RefCell<Option<T>>,
-    cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-struct ChanState<T> {
-    queue: RefCell<VecDeque<T>>,
-    waiters: RefCell<VecDeque<Rc<RecvNode<T>>>>,
-    senders: Cell<usize>,
-    sent_total: Cell<u64>,
-}
-
-/// Create an unbounded multi-producer multi-consumer channel. Items are
-/// handed to receivers in FIFO order of both items and waiting receivers.
-pub fn channel<T: 'static>() -> (Sender<T>, Receiver<T>) {
-    let st = Rc::new(ChanState {
-        queue: RefCell::new(VecDeque::new()),
-        waiters: RefCell::new(VecDeque::new()),
-        senders: Cell::new(1),
-        sent_total: Cell::new(0),
-    });
-    (Sender { st: Rc::clone(&st) }, Receiver { st })
-}
-
-/// Sending half; clone for multiple producers. Channel closes when the
-/// last sender drops.
-pub struct Sender<T> {
-    st: Rc<ChanState<T>>,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.st.senders.set(self.st.senders.get() + 1);
-        Sender {
-            st: Rc::clone(&self.st),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let n = self.st.senders.get() - 1;
-        self.st.senders.set(n);
-        if n == 0 {
-            // Closed: wake everyone so they observe the closure.
-            for node in self.st.waiters.borrow_mut().drain(..) {
-                if let Some(w) = node.waker.borrow_mut().take() {
-                    w.wake();
-                }
-            }
-        }
-    }
-}
-
-impl<T> Sender<T> {
-    /// Enqueue `item`, handing it directly to the longest-waiting receiver
-    /// if one exists.
-    pub fn send(&self, item: T) {
-        self.st.sent_total.set(self.st.sent_total.get() + 1);
-        let mut waiters = self.st.waiters.borrow_mut();
-        while let Some(node) = waiters.pop_front() {
-            if node.cancelled.get() {
-                continue;
-            }
-            *node.slot.borrow_mut() = Some(item);
-            if let Some(w) = node.waker.borrow_mut().take() {
-                w.wake();
-            }
-            return;
-        }
-        drop(waiters);
-        self.st.queue.borrow_mut().push_back(item);
-    }
-
-    /// Messages currently buffered (not yet handed to a receiver).
-    pub fn backlog(&self) -> usize {
-        self.st.queue.borrow().len()
-    }
-
-    /// Total messages ever sent (statistic).
-    pub fn sent_total(&self) -> u64 {
-        self.st.sent_total.get()
-    }
-}
-
-/// Receiving half; clone for multiple consumers (work-sharing pool).
-pub struct Receiver<T> {
-    st: Rc<ChanState<T>>,
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        Receiver {
-            st: Rc::clone(&self.st),
-        }
-    }
-}
-
-impl<T: 'static> Receiver<T> {
-    /// Wait for the next message; `None` once the channel is closed and
-    /// drained.
-    pub fn recv(&self) -> Recv<T> {
-        Recv {
-            st: Rc::clone(&self.st),
-            node: None,
-            done: false,
-        }
-    }
-
-    /// Messages currently buffered.
-    pub fn backlog(&self) -> usize {
-        self.st.queue.borrow().len()
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<T> {
-    st: Rc<ChanState<T>>,
-    node: Option<Rc<RecvNode<T>>>,
-    done: bool,
-}
-
-impl<T> Future for Recv<T> {
-    type Output = Option<T>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        assert!(!self.done, "Recv polled after completion");
-        if let Some(node) = self.node.clone() {
-            if let Some(item) = node.slot.borrow_mut().take() {
-                self.done = true;
-                return Poll::Ready(Some(item));
-            }
-            if self.st.senders.get() == 0 {
-                self.done = true;
-                return Poll::Ready(None);
-            }
-            *node.waker.borrow_mut() = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        // Only take from the buffer if no earlier receiver is queued —
-        // preserves receiver FIFO fairness.
-        let no_live_waiters = self.st.waiters.borrow().iter().all(|n| n.cancelled.get());
-        if no_live_waiters {
-            let item = self.st.queue.borrow_mut().pop_front();
-            if let Some(item) = item {
-                self.done = true;
-                return Poll::Ready(Some(item));
-            }
-        }
-        if self.st.senders.get() == 0 {
-            self.done = true;
-            return Poll::Ready(None);
-        }
-        let node = Rc::new(RecvNode {
-            slot: RefCell::new(None),
-            cancelled: Cell::new(false),
-            waker: RefCell::new(Some(cx.waker().clone())),
-        });
-        self.st.waiters.borrow_mut().push_back(Rc::clone(&node));
-        self.node = Some(node);
-        Poll::Pending
-    }
-}
-
-impl<T> Drop for Recv<T> {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        if let Some(node) = &self.node {
-            node.cancelled.set(true);
-            // An item may have been handed over concurrently with the
-            // drop; give it back at the front so ordering is preserved.
-            if let Some(item) = node.slot.borrow_mut().take() {
-                let mut waiters = self.st.waiters.borrow_mut();
-                while let Some(next) = waiters.pop_front() {
-                    if next.cancelled.get() {
-                        continue;
-                    }
-                    *next.slot.borrow_mut() = Some(item);
-                    if let Some(w) = next.waker.borrow_mut().take() {
-                        w.wake();
-                    }
-                    return;
-                }
-                drop(waiters);
-                self.st.queue.borrow_mut().push_front(item);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,24 +322,28 @@ mod tests {
 
     #[test]
     fn semaphore_limits_concurrency() {
-        let sim = Sim::new(1);
-        let sem = Semaphore::new(2);
-        let peak = Rc::new(Cell::new(0usize));
-        let active = Rc::new(Cell::new(0usize));
-        for _ in 0..10 {
-            let (s, sm, pk, ac) = (sim.clone(), sem.clone(), peak.clone(), active.clone());
-            sim.spawn(async move {
-                let _p = sm.acquire().await;
-                ac.set(ac.get() + 1);
-                pk.set(pk.get().max(ac.get()));
-                s.delay(D::from_millis(10)).await;
-                ac.set(ac.get() - 1);
-            });
+        for (permits, tasks, ops) in [(2, 10, 1), (4, 100, 100)] {
+            let sim = Sim::new(1);
+            let sem = Semaphore::new(permits);
+            let peak = Rc::new(Cell::new(0usize));
+            let active = Rc::new(Cell::new(0usize));
+            for _ in 0..tasks {
+                let (s, sm, pk, ac) = (sim.clone(), sem.clone(), peak.clone(), active.clone());
+                sim.spawn(async move {
+                    for _ in 0..ops {
+                        let _p = sm.acquire().await;
+                        ac.set(ac.get() + 1);
+                        pk.set(pk.get().max(ac.get()));
+                        s.delay(D::from_millis(10)).await;
+                        ac.set(ac.get() - 1);
+                    }
+                });
+            }
+            sim.run();
+            assert_eq!(peak.get(), permits);
+            assert_eq!(sem.acquired_total(), tasks * ops);
+            assert_eq!(sem.available(), permits);
         }
-        sim.run();
-        assert_eq!(peak.get(), 2);
-        assert_eq!(sem.acquired_total(), 10);
-        assert_eq!(sem.available(), 2);
     }
 
     #[test]
@@ -627,80 +435,5 @@ mod tests {
         sim.run();
         assert_eq!(released.get(), 4);
         assert!(sig.is_fired());
-    }
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let sim = Sim::new(1);
-        let (tx, rx) = channel::<u32>();
-        let got: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let g = got.clone();
-        sim.spawn(async move {
-            while let Some(v) = rx.recv().await {
-                g.borrow_mut().push(v);
-            }
-        });
-        let s = sim.clone();
-        sim.spawn(async move {
-            for i in 0..5 {
-                tx.send(i);
-                s.delay(D::from_millis(1)).await;
-            }
-            // tx drops here -> channel closes -> receiver exits.
-        });
-        sim.run();
-        assert_eq!(*got.borrow(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(sim.live_tasks(), 0, "receiver must exit on close");
-    }
-
-    #[test]
-    fn channel_mpmc_work_sharing() {
-        let sim = Sim::new(7);
-        let (tx, rx) = channel::<u32>();
-        let counts: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![0; 3]));
-        for w in 0..3usize {
-            let (rxc, c, s) = (rx.clone(), counts.clone(), sim.clone());
-            sim.spawn(async move {
-                while let Some(_v) = rxc.recv().await {
-                    c.borrow_mut()[w] += 1;
-                    s.delay(D::from_millis(3)).await;
-                }
-            });
-        }
-        let s = sim.clone();
-        sim.spawn(async move {
-            for i in 0..30 {
-                tx.send(i);
-                s.delay(D::from_millis(1)).await;
-            }
-        });
-        sim.run();
-        let total: u32 = counts.borrow().iter().sum();
-        assert_eq!(total, 30);
-        // Work must actually be shared across all three consumers.
-        assert!(
-            counts.borrow().iter().all(|&c| c > 0),
-            "{:?}",
-            counts.borrow()
-        );
-    }
-
-    #[test]
-    fn channel_close_drains_buffer_first() {
-        let sim = Sim::new(1);
-        let (tx, rx) = channel::<u32>();
-        tx.send(1);
-        tx.send(2);
-        drop(tx);
-        let got: Rc<RefCell<Vec<Option<u32>>>> = Rc::default();
-        let g = got.clone();
-        sim.spawn(async move {
-            for _ in 0..3 {
-                let v = rx.recv().await;
-                g.borrow_mut().push(v);
-            }
-        });
-        sim.run();
-        assert_eq!(*got.borrow(), vec![Some(1), Some(2), None]);
     }
 }

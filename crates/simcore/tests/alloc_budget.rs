@@ -3,13 +3,15 @@
 //! peak, a detached task that races an acquire against a timeout and
 //! then sleeps allocates one block, its own box. Wakers are per slot,
 //! the timeout pins its future in place and a queued acquire takes a
-//! slab slot, so none of them allocates per task.
+//! slab slot, so none of them allocates per task. An installed kernel
+//! hook adds nothing: emitting an event clones one `Rc` of the hooks.
 //!
 //! Allocations are counted by this binary's own global allocator, per
 //! thread, so tests running in parallel do not count each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
 use simcore::combinators::timeout;
 use simcore::sync::Semaphore;
@@ -80,24 +82,44 @@ fn round(sim: &Sim, sem: &Semaphore) {
     sim.run();
 }
 
-#[test]
-fn a_detached_op_allocates_only_its_task_box() {
-    let sim = Sim::new(1);
+/// Run two rounds and return the second, warm round's allocations
+/// per task.
+fn warm_allocs_per_task(sim: &Sim) -> f64 {
     let sem = Semaphore::new(4);
     // The first round grows every slab to the round's peak: all tasks
     // live at once, all but four queued on the semaphore, each with a
     // pending timeout event.
-    round(&sim, &sem);
+    round(sim, &sem);
     let before = allocs();
-    round(&sim, &sem);
+    round(sim, &sem);
     let per_task = (allocs() - before) as f64 / TASKS as f64;
     assert_eq!(sem.acquired_total(), 2 * TASKS, "an acquire timed out");
     // Each round's four first acquires succeed at once and never arm
     // their timeout; every other timeout is armed, then cancelled.
     assert_eq!(sim.cancelled_events(), 2 * (TASKS - 4));
     assert_eq!(sim.live_tasks(), 0);
+    per_task
+}
+
+#[test]
+fn a_detached_op_allocates_only_its_task_box() {
+    let per_task = warm_allocs_per_task(&Sim::new(1));
     assert!(
         per_task <= 1.0,
         "{per_task} allocations per task once warm; the budget is 1, the task box"
+    );
+}
+
+#[test]
+fn an_installed_hook_adds_no_allocation_per_event() {
+    let sim = Sim::new(1);
+    let fired = Rc::new(Cell::new(0u64));
+    let f = Rc::clone(&fired);
+    sim.add_kernel_hook(Rc::new(move |_, _| f.set(f.get() + 1)));
+    let per_task = warm_allocs_per_task(&sim);
+    assert!(fired.get() > 2 * TASKS, "the hook did not run");
+    assert!(
+        per_task <= 1.0,
+        "{per_task} allocations per task once warm with a hook installed; the budget is 1"
     );
 }

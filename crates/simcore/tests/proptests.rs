@@ -182,28 +182,6 @@ proptest! {
         prop_assert!(peak.get() <= cap);
         prop_assert_eq!(done.get(), tasks);
     }
-
-    /// Channels deliver every message exactly once, in order, to a
-    /// single consumer.
-    #[test]
-    fn channel_delivers_exactly_once(msgs in 1usize..200) {
-        let sim = Sim::new(9);
-        let (tx, rx) = channel::<usize>();
-        let got = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let g = got.clone();
-        sim.spawn(async move {
-            while let Some(v) = rx.recv().await {
-                g.borrow_mut().push(v);
-            }
-        });
-        sim.spawn(async move {
-            for i in 0..msgs {
-                tx.send(i);
-            }
-        });
-        sim.run();
-        prop_assert_eq!(&*got.borrow(), &(0..msgs).collect::<Vec<_>>());
-    }
 }
 
 proptest! {
